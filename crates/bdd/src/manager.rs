@@ -195,6 +195,28 @@ pub struct OpCounts {
     pub reorder_nodes_after: u64,
 }
 
+/// Field-wise sum: the work of several managers as one total.
+impl std::ops::Add for OpCounts {
+    type Output = OpCounts;
+    fn add(self, o: OpCounts) -> OpCounts {
+        OpCounts {
+            ite_calls: self.ite_calls + o.ite_calls,
+            cache_lookups: self.cache_lookups + o.cache_lookups,
+            cache_hits: self.cache_hits + o.cache_hits,
+            cache_evictions: self.cache_evictions + o.cache_evictions,
+            unique_lookups: self.unique_lookups + o.unique_lookups,
+            unique_hits: self.unique_hits + o.unique_hits,
+            nodes_created: self.nodes_created + o.nodes_created,
+            gc_runs: self.gc_runs + o.gc_runs,
+            nodes_freed: self.nodes_freed + o.nodes_freed,
+            reorder_runs: self.reorder_runs + o.reorder_runs,
+            reorder_swaps: self.reorder_swaps + o.reorder_swaps,
+            reorder_nodes_before: self.reorder_nodes_before + o.reorder_nodes_before,
+            reorder_nodes_after: self.reorder_nodes_after + o.reorder_nodes_after,
+        }
+    }
+}
+
 /// When the manager runs an in-place reorder pass ([`Bdd::reorder_now`])
 /// automatically. Checked at the top of every [`Bdd::try_ite`] — a safe
 /// point where no ITE recursion is in flight — so a pass can rewrite the
@@ -583,6 +605,19 @@ impl Bdd {
         }
     }
 
+    /// The current depth of the root stack: every [`Bdd::protect`] after
+    /// this point can be dropped at once with [`Bdd::release_roots_to`].
+    pub fn root_mark(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Drop every root protected since `mark` was taken with
+    /// [`Bdd::root_mark`] (scoped rooting: a caller roots its scratch
+    /// functions while it builds, then releases them in one step).
+    pub fn release_roots_to(&mut self, mark: usize) {
+        self.roots.truncate(mark);
+    }
+
     /// Drop every root.
     pub fn clear_roots(&mut self) {
         self.roots.clear();
@@ -892,8 +927,8 @@ impl Bdd {
     }
 
     /// Negation. With complement edges this is a bit flip: no allocation,
-    /// no cache traffic.
-    pub fn not(&mut self, f: Ref) -> Ref {
+    /// no cache traffic, and no mutable borrow of the manager.
+    pub fn not(&self, f: Ref) -> Ref {
         f.complement()
     }
 
@@ -1091,12 +1126,27 @@ impl Bdd {
     /// The probability of the Boolean difference is the core of
     /// transition-density power estimation.
     pub fn boolean_difference(&mut self, f: Ref, var: u32) -> Ref {
+        match self.try_boolean_difference(f, var, &ResourceBudget::unlimited()) {
+            Ok(r) => r,
+            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
+        }
+    }
+
+    /// Budget-guarded [`Bdd::boolean_difference`]. The two cofactors add
+    /// at most `size(f)` nodes each; the XOR that combines them is the
+    /// metered (and potentially large) step.
+    pub fn try_boolean_difference(
+        &mut self,
+        f: Ref,
+        var: u32,
+        budget: &ResourceBudget,
+    ) -> Result<Ref, BudgetExceeded> {
         let base = self.guard.len();
         let f0 = self.restrict(f, var, false);
         self.guard.push(f0.0);
         let f1 = self.restrict(f, var, true);
         self.guard.push(f1.0);
-        let r = self.xor(f0, f1);
+        let r = self.try_xor(f0, f1, budget);
         self.guard.truncate(base);
         r
     }
@@ -1203,6 +1253,48 @@ impl Bdd {
     pub fn probability(&self, f: Ref, p: &[f64]) -> f64 {
         let mut memo = vec![f64::NAN; self.nodes.len()];
         self.prob_rec(f, p, &mut memo)
+    }
+
+    /// [`Bdd::probability`] with a memo sized to `f`'s graph instead of the
+    /// whole arena — for small functions in a large manager (a resident
+    /// manager between collections), where zeroing an arena-sized memo
+    /// per call would cost more than the walk. Same recursion, same
+    /// arithmetic per node, so the value is bit-identical.
+    pub fn probability_local(&self, f: Ref, p: &[f64]) -> f64 {
+        let mut memo = std::collections::HashMap::new();
+        self.prob_rec_local(f, p, &mut memo)
+    }
+
+    fn prob_rec_local(
+        &self,
+        f: Ref,
+        p: &[f64],
+        memo: &mut std::collections::HashMap<usize, f64>,
+    ) -> f64 {
+        if f == Ref::FALSE {
+            return 0.0;
+        }
+        if f == Ref::TRUE {
+            return 1.0;
+        }
+        let idx = f.index();
+        let v = match memo.get(&idx) {
+            Some(&v) => v,
+            None => {
+                let n = self.nodes[idx];
+                let pv = p.get(n.var as usize).copied().unwrap_or(0.5);
+                let lo = self.prob_rec_local(Ref(n.lo), p, memo);
+                let hi = self.prob_rec_local(Ref(n.hi), p, memo);
+                let v = (1.0 - pv) * lo + pv * hi;
+                memo.insert(idx, v);
+                v
+            }
+        };
+        if f.is_complemented() {
+            1.0 - v
+        } else {
+            v
+        }
     }
 
     /// Dense memo keyed by plain node index (`NAN` = unvisited; computed

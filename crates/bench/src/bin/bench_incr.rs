@@ -37,7 +37,12 @@
 //! (incremental evaluations per from-scratch evaluation) at most 1/3, or
 //! wall-clock at least 3x faster. The work ratios are the primary
 //! criterion — they are deterministic, so the check is meaningful on a
-//! noisy CI box where timings are not. Result identity (bitwise sizes,
+//! noisy CI box where timings are not. The rewrite-search sections must
+//! in addition run at least 1.5x faster in wall-clock time than their
+//! `force_full` twin (which also rebuilds every BDD, re-analyses every
+//! don't-care candidate and re-times every candidate with full STA), so
+//! a search that saves simulator work but loses it elsewhere fails.
+//! Result identity (bitwise sizes,
 //! bitwise capacitance, glitch totals to 1e-9, node-for-node netlists
 //! from the rewrite twins) is always enforced, as is the rewrite-flow
 //! criterion: combined switched capacitance no worse than the sequential
@@ -504,6 +509,17 @@ fn main() {
                 eprintln!(
                     "check FAILED: {} ({}) work ratio {:.3} > 0.333 and speedup {:.2}x < 3.0x",
                     s.name, s.circuit, s.work_ratio, s.speedup
+                );
+                ok = false;
+            }
+        }
+        for s in sections.iter().filter(|s| s.name == "rewrite-search") {
+            // Wall clock, end to end: the resident state must pay for
+            // itself against the twin that rebuilds everything.
+            if s.speedup < 1.5 {
+                eprintln!(
+                    "check FAILED: {} ({}) speedup {:.2}x < 1.5x over the force_full twin",
+                    s.name, s.circuit, s.speedup
                 );
                 ok = false;
             }

@@ -16,9 +16,24 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use netlist::{NetId, Netlist};
+use netlist::{GateKind, NetId, Netlist};
 use power::model::{PowerParams, PowerReport};
 use sim::ActivityProfile;
+
+/// Load sensitivity of the delay model: `d = d0 · (1 + γ · load / s)`.
+const GAMMA: f64 = 0.3;
+
+/// Wire capacitance of a net driving `sinks` gate inputs.
+fn wire_cap(sinks: usize) -> f64 {
+    1.0 + 0.5 * sinks as f64
+}
+
+/// Delay of a non-source gate of `kind` with `fanins` inputs at size
+/// `size` driving `load` — the one expression every timer here uses, so
+/// full, incremental and live-logic timing agree bit for bit.
+fn gate_delay_of(kind: GateKind, fanins: usize, load: f64, size: f64) -> f64 {
+    kind.base_delay(fanins) * (1.0 + GAMMA * load / size)
+}
 
 /// A netlist with per-gate continuous size factors and timing/power views.
 #[derive(Debug)]
@@ -28,7 +43,6 @@ pub struct SizedCircuit<'a> {
     fanouts: Vec<Vec<NetId>>,
     /// Size factor per net (1.0 = minimum size; sources stay 1.0).
     pub sizes: Vec<f64>,
-    gamma: f64,
 }
 
 /// Timing snapshot of a sized circuit.
@@ -69,13 +83,11 @@ impl<'a> SizedCircuit<'a> {
             order,
             fanouts,
             sizes,
-            gamma: 0.3,
         }
     }
 
     fn load(&self, net: NetId) -> f64 {
-        let wire = 1.0 + 0.5 * self.fanouts[net.index()].len() as f64;
-        wire
+        wire_cap(self.fanouts[net.index()].len())
             + self.fanouts[net.index()]
                 .iter()
                 .map(|&sink| self.nl.kind(sink).input_cap() * self.sizes[sink.index()])
@@ -87,8 +99,12 @@ impl<'a> SizedCircuit<'a> {
         if kind.is_source() {
             return 0.0;
         }
-        let d0 = kind.base_delay(self.nl.fanins(net).len());
-        d0 * (1.0 + self.gamma * self.load(net) / self.sizes[net.index()])
+        gate_delay_of(
+            kind,
+            self.nl.fanins(net).len(),
+            self.load(net),
+            self.sizes[net.index()],
+        )
     }
 
     /// Static timing analysis against a required time `constraint` at every
@@ -300,6 +316,85 @@ impl<'a> SizedCircuit<'a> {
     pub fn netlist(&self) -> &Netlist {
         self.nl
     }
+}
+
+/// Reusable buffers for [`unit_critical_live`], so a search timing one
+/// candidate after another allocates nothing per candidate.
+#[derive(Debug, Default)]
+pub struct LiveTiming {
+    sinks: Vec<u32>,
+    pins: Vec<f64>,
+    arrival: Vec<f64>,
+    done: Vec<bool>,
+    stack: Vec<(u32, u32)>,
+}
+
+/// Critical delay of the live logic of a combinational `nl` with every
+/// gate at unit size, where `live` is [`Netlist::live_nets`] of `nl`.
+///
+/// Bit-equal to `SizedCircuit::new(&swept, 1.0).timing(..).critical` on
+/// `swept = nl.clone()` after [`Netlist::sweep_dead`], without the clone,
+/// the sweep, or a topological sort. Sweeping keeps live nets in id order
+/// and drops only dead sinks, so each live net sees the same sinks in the
+/// same order: pin loads accumulate sink by sink in net-id order (the
+/// order of [`Netlist::fanouts`]), arrivals fold fanins in fanin order
+/// with the same `max`, and the critical delay folds outputs in output
+/// order. Only nets reachable from an output are timed; the rest cannot
+/// reach the fold.
+pub fn unit_critical_live(nl: &Netlist, live: &[bool], t: &mut LiveTiming) -> f64 {
+    let n = nl.len();
+    assert_eq!(live.len(), n, "live mask of another netlist");
+    t.sinks.clear();
+    t.sinks.resize(n, 0);
+    t.pins.clear();
+    t.pins.resize(n, 0.0);
+    t.arrival.clear();
+    t.arrival.resize(n, 0.0);
+    t.done.clear();
+    t.done.resize(n, false);
+    for sink in nl.iter_nets() {
+        if !live[sink.index()] {
+            continue;
+        }
+        let pin = nl.kind(sink).input_cap() * 1.0;
+        for &f in nl.fanins(sink) {
+            t.sinks[f.index()] += 1;
+            t.pins[f.index()] += pin;
+        }
+    }
+    for (root, _) in nl.outputs() {
+        if t.done[root.index()] {
+            continue;
+        }
+        t.stack.push((root.index() as u32, 0));
+        while let Some(top) = t.stack.last_mut() {
+            let idx = top.0 as usize;
+            let fanins = nl.fanins(NetId::from_index(idx));
+            if let Some(&child) = fanins.get(top.1 as usize) {
+                top.1 += 1;
+                if !t.done[child.index()] {
+                    t.stack.push((child.index() as u32, 0));
+                }
+                continue;
+            }
+            t.stack.pop();
+            t.done[idx] = true;
+            let kind = nl.kind(NetId::from_index(idx));
+            if kind.is_source() {
+                continue;
+            }
+            let input_arrival = fanins
+                .iter()
+                .map(|x| t.arrival[x.index()])
+                .fold(0.0f64, f64::max);
+            let load = wire_cap(t.sinks[idx] as usize) + t.pins[idx];
+            t.arrival[idx] = input_arrival + gate_delay_of(kind, fanins.len(), load, 1.0);
+        }
+    }
+    nl.outputs()
+        .iter()
+        .map(|(net, _)| t.arrival[net.index()])
+        .fold(0.0f64, f64::max)
 }
 
 /// Incremental static timing for sizing trials.

@@ -19,9 +19,9 @@
 //! probabilities and accepts only if the *whole network's* estimated
 //! switched capacitance drops (\[19\]).
 
-use bdd::{Ref, ResourceBudget};
+use bdd::{Bdd, BudgetExceeded, Ref, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{circuit_bdds, CircuitBddCache};
+use power::exact::{circuit_bdds, try_gate_func, CircuitBddCache};
 use sim::comb::CombSim;
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::PackedPatterns;
@@ -308,23 +308,7 @@ pub fn optimize_dontcares_sim_reference(
 /// Candidate nodes for the simulation-driven pass: live internal gates
 /// small enough to enumerate.
 pub(crate) fn sim_candidates(nl: &Netlist, max_fanin: usize) -> Vec<NetId> {
-    let mut live = vec![false; nl.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (net, _) in nl.outputs() {
-        stack.push(net.index());
-    }
-    for &pi in nl.inputs() {
-        stack.push(pi.index());
-    }
-    while let Some(v) = stack.pop() {
-        if live[v] {
-            continue;
-        }
-        live[v] = true;
-        for &f in nl.fanins(NetId::from_index(v)) {
-            stack.push(f.index());
-        }
-    }
+    let live = nl.live_nets();
     nl.iter_nets()
         .filter(|&net| {
             let kind = nl.kind(net);
@@ -425,40 +409,102 @@ fn try_rewrite(
     }
 }
 
-/// A profitable node rewrite found by the ODC analysis: replace `node`
-/// with the truth table `table` over `fanins`.
-pub(crate) struct Rewrite {
-    pub(crate) fanins: Vec<NetId>,
-    pub(crate) table: Vec<bool>,
+/// A profitable node rewrite found by the ODC analysis: replace the node
+/// with the truth table `table` over `fanins` (minterm `m` sets fanin `i`
+/// to bit `i` of `m`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rewrite {
+    /// The node's fanins, in fanin order.
+    pub fanins: Vec<NetId>,
+    /// The rebiased local truth table, one entry per fanin minterm.
+    pub table: Vec<bool>,
 }
 
 /// The don't-care analysis shared by the estimate-driven and the
 /// simulation-driven pass drivers: compute `node`'s observability
 /// don't-cares and, if its one-probability can be pushed further from 0.5
 /// inside them, return the rebiased local truth table.
-pub(crate) fn find_rewrite(
+///
+/// Works on a copy of `bdds.mgr`, so the circuit BDDs are left
+/// untouched.
+pub fn find_rewrite(
     nl: &Netlist,
     bdds: &power::exact::CircuitBdds,
     node: NetId,
     input_probs: &[f64],
 ) -> Option<Rewrite> {
+    let order = nl.topo_order().expect("acyclic");
+    let live = nl.live_nets();
+    let inputs = OdcInputs {
+        nl,
+        order: &order,
+        live: &live,
+        funcs: &bdds.funcs,
+        input_vars: &bdds.input_vars,
+        nvars: bdds.mgr.num_vars() as u32,
+    };
+    // A throwaway copy: dropping it discards the analysis' garbage.
     let mut mgr = bdds.mgr.clone();
-    // The scratch manager holds plenty of refs no root protects (the
-    // substituted cones, the observability union); collection would free
-    // them out from under us, so make sure the clone never collects.
     mgr.set_auto_gc(false);
-    let funcs = &bdds.funcs;
-    let nvars = mgr.num_vars() as u32;
+    match try_analyse(
+        &mut mgr,
+        &inputs,
+        node,
+        input_probs,
+        &ResourceBudget::unlimited(),
+    ) {
+        Ok(r) => r,
+        Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
+    }
+}
+
+/// Everything the don't-care analysis reads besides the manager.
+pub(crate) struct OdcInputs<'a> {
+    /// The circuit under analysis.
+    pub(crate) nl: &'a Netlist,
+    /// A topological order of `nl`.
+    pub(crate) order: &'a [NetId],
+    /// [`Netlist::live_nets`] of `nl`: dead nets reach no output, so the
+    /// substitution skips them.
+    pub(crate) live: &'a [bool],
+    /// Global function of every net of `nl`.
+    pub(crate) funcs: &'a [Ref],
+    /// BDD variable of each primary input.
+    pub(crate) input_vars: &'a [u32],
+    /// Circuit variables in use; the node's stand-in variable is the next.
+    pub(crate) nvars: u32,
+}
+
+/// [`find_rewrite`] on a caller-provided manager holding `inputs.funcs`,
+/// with every BDD operation metered against `budget`. The analysis holds
+/// plenty of refs no root protects (the substituted cones, the
+/// observability union), so the manager must not collect while it runs;
+/// its garbage stays in the manager until the owner collects.
+pub(crate) fn try_analyse(
+    mgr: &mut Bdd,
+    inputs: &OdcInputs<'_>,
+    node: NetId,
+    input_probs: &[f64],
+    budget: &ResourceBudget,
+) -> Result<Option<Rewrite>, BudgetExceeded> {
+    let OdcInputs {
+        nl,
+        order,
+        live,
+        funcs,
+        input_vars,
+        nvars,
+    } = *inputs;
     let w = nvars; // fresh variable standing for the node's output
 
     // Rebuild output functions with `node` replaced by variable w.
-    let order = nl.topo_order().expect("acyclic");
-    let mut subst: Vec<Ref> = funcs.clone();
+    let mut subst: Vec<Ref> = funcs.to_vec();
     subst[node.index()] = mgr.var(w);
     let mut dependent = vec![false; nl.len()];
     dependent[node.index()] = true;
-    for &net in &order {
-        if net == node {
+    let mut ins: Vec<Ref> = Vec::new();
+    for &net in order {
+        if net == node || !live[net.index()] {
             continue;
         }
         let kind = nl.kind(net);
@@ -469,8 +515,9 @@ pub(crate) fn find_rewrite(
             continue;
         }
         dependent[net.index()] = true;
-        let ins: Vec<Ref> = nl.fanins(net).iter().map(|f| subst[f.index()]).collect();
-        subst[net.index()] = build_gate(&mut mgr, kind, &ins);
+        ins.clear();
+        ins.extend(nl.fanins(net).iter().map(|f| subst[f.index()]));
+        subst[net.index()] = try_gate_func(mgr, kind, &ins, budget)?;
     }
 
     // Observability: any output sensitive to w.
@@ -479,11 +526,11 @@ pub(crate) fn find_rewrite(
         if !dependent[out.index()] {
             continue;
         }
-        let s = mgr.boolean_difference(subst[out.index()], w);
-        sensitive = mgr.or(sensitive, s);
+        let s = mgr.try_boolean_difference(subst[out.index()], w, budget)?;
+        sensitive = mgr.try_or(sensitive, s, budget)?;
     }
     if sensitive == Ref::TRUE {
-        return None; // fully observable: no freedom
+        return Ok(None); // fully observable: no freedom
     }
 
     // Local care analysis over the node's fanin minterms.
@@ -495,7 +542,7 @@ pub(crate) fn find_rewrite(
     let mut care = Vec::with_capacity(1 << k);
     let var_probs: Vec<f64> = {
         let mut v = vec![0.5; nvars as usize + 1];
-        for (i, &var) in bdds.input_vars.iter().enumerate() {
+        for (i, &var) in input_vars.iter().enumerate() {
             if i < input_probs.len() {
                 v[var as usize] = input_probs[i];
             }
@@ -507,16 +554,16 @@ pub(crate) fn find_rewrite(
         for (i, &fi) in fanins.iter().enumerate() {
             let f = funcs[fi.index()];
             let lit = if m >> i & 1 == 1 { f } else { mgr.not(f) };
-            cond = mgr.and(cond, lit);
+            cond = mgr.try_and(cond, lit, budget)?;
         }
-        let observable = mgr.and(cond, sensitive);
+        let observable = mgr.try_and(cond, sensitive, budget)?;
         care.push(observable != Ref::FALSE);
-        care_probs.push(mgr.probability(cond, &var_probs));
+        care_probs.push(mgr.probability_local(cond, &var_probs));
         let bits: Vec<bool> = (0..k).map(|i| m >> i & 1 == 1).collect();
         table.push(kind.eval(&bits));
     }
     if care.iter().all(|&c| c) {
-        return None;
+        return Ok(None);
     }
 
     // Candidate tables: don't-cares all 0 or all 1.
@@ -546,41 +593,16 @@ pub(crate) fn find_rewrite(
         (high, p_high)
     };
     if new_table == table {
-        return None;
+        return Ok(None);
     }
     let activity = |p: f64| 2.0 * p * (1.0 - p);
     if activity(p_new) >= activity(p_orig) - 1e-12 {
-        return None;
+        return Ok(None);
     }
-    Some(Rewrite {
+    Ok(Some(Rewrite {
         fanins,
         table: new_table,
-    })
-}
-
-fn build_gate(mgr: &mut bdd::Bdd, kind: GateKind, ins: &[Ref]) -> Ref {
-    match kind {
-        GateKind::Const(v) => mgr.constant(v),
-        GateKind::Buf => ins[0],
-        GateKind::Not => mgr.not(ins[0]),
-        GateKind::And => mgr.and_all(ins.iter().copied()),
-        GateKind::Or => mgr.or_all(ins.iter().copied()),
-        GateKind::Nand => {
-            let a = mgr.and_all(ins.iter().copied());
-            mgr.not(a)
-        }
-        GateKind::Nor => {
-            let o = mgr.or_all(ins.iter().copied());
-            mgr.not(o)
-        }
-        GateKind::Xor => ins.iter().fold(Ref::FALSE, |acc, &f| mgr.xor(acc, f)),
-        GateKind::Xnor => {
-            let x = ins.iter().fold(Ref::FALSE, |acc, &f| mgr.xor(acc, f));
-            mgr.not(x)
-        }
-        GateKind::Mux => mgr.ite(ins[0], ins[2], ins[1]),
-        GateKind::Input | GateKind::Dff => unreachable!("sources are variables"),
-    }
+    }))
 }
 
 /// Synthesize a truth table over existing nets as two-level logic.

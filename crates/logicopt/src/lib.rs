@@ -17,6 +17,9 @@
 //!   kernel/cube extraction and don't-care rewrites as one move pool,
 //!   searched greedily with lookahead over a resident incremental
 //!   simulator's live switched capacitance under an equal-delay guard.
+//! * [`resident`] — the rewriting search's resident BDD state: global
+//!   functions kept current over each edit's cone, and a memo of
+//!   don't-care analyses invalidated only where an edit can reach.
 //! * [`twolevel`] — espresso-lite two-level minimization with don't-cares,
 //!   the foundation the node-level passes and FSM synthesis build on.
 
@@ -29,5 +32,6 @@ pub mod dontcare;
 pub mod factor;
 pub mod guard;
 pub mod mapping;
+pub mod resident;
 pub mod rewrite;
 pub mod twolevel;

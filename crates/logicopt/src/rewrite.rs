@@ -24,29 +24,49 @@
 //! from-scratch replay, so decisions (and the final netlist) are identical
 //! under `force_full`.
 //!
-//! The delay guard compares unit-sized [`SizedCircuit`] critical paths
-//! ([`circuit::sizing`]'s `StaCache`): a move is legal only while the swept
-//! candidate stays within `1 + delay_slack` of the input circuit's critical
-//! path. Sharing moves concentrate fanout load on the surviving net, so
-//! they trade a bounded unit-delay slip for capacitance; downstream gate
-//! sizing recovers the slip, which is how the `bench_incr` equal-delay
-//! comparison holds both flows to one timing constraint.
+//! Global functions and don't-care analyses come from one
+//! [`ResidentBdds`] kept alive for the whole search: each round rebases it
+//! onto the round's netlist, each lookahead probe takes a view of the
+//! probed netlist, and both re-derive functions only over the edit's
+//! cone. Don't-care analyses are memoized per node and re-run only inside
+//! the edit's invalidation cone (see [`crate::resident`] for the rule and
+//! its soundness argument). The don't-care class is skipped for a round
+//! while the resident manager, collected at the round boundary, holds
+//! more than [`RewriteConfig::dontcare_node_limit`] live nodes.
 //!
-//! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}` and
-//! `rewrite.moves.accepted.{resub,extract,dontcare}`; the engine itself
+//! The delay guard compares unit-sized critical paths of the live logic: a
+//! move is legal only while the candidate stays within `1 + delay_slack`
+//! of the input circuit's critical path. Each candidate is timed in place
+//! by [`circuit::sizing::unit_critical_live`] over the same live mask the
+//! switched-capacitance read uses — no clone, sweep or [`SizedCircuit`]
+//! per candidate — bit-equal to full STA on the swept clone. Sharing moves
+//! concentrate fanout load on the surviving net, so they trade a bounded
+//! unit-delay slip for capacitance; downstream gate sizing recovers the
+//! slip, which is how the `bench_incr` equal-delay comparison holds both
+//! flows to one timing constraint.
+//!
+//! `force_full` makes the search its own reference twin: whole-netlist
+//! re-evaluation in the engine, a fresh BDD build for every enumeration,
+//! no memo, and full STA on a swept clone per candidate — identical
+//! decisions, none of the reuse.
+//!
+//! Obs counters: `rewrite.moves.tried.{resub,extract,dontcare}`,
+//! `rewrite.moves.accepted.{resub,extract,dontcare}`, the resident
+//! state's `rewrite.dc.analysed` / `rewrite.dc.reused` and its BDD kernel
+//! counters (`bdd.ite_calls`, `bdd.peak_nodes`, …); the engine itself
 //! publishes `sim.incr.checkpoints/rollbacks/commits`.
 
 use std::collections::HashMap;
 
-use bdd::{BudgetExceeded, Ref, ResourceBudget};
-use circuit::sizing::SizedCircuit;
+use bdd::{Bdd, BudgetExceeded, Ref, ResourceBudget};
+use circuit::sizing::{unit_critical_live, LiveTiming, SizedCircuit};
 use netlist::{GateKind, NetId, Netlist};
-use power::exact::{CircuitBddCache, CircuitBdds};
 use sim::incr::{Delta, IncrementalSim};
 use sim::stimulus::PackedPatterns;
 
-use crate::dontcare::{find_rewrite, sim_candidates, synthesize_table_delta};
+use crate::dontcare::{sim_candidates, synthesize_table_delta};
 use crate::factor::{Cube, Sop};
+use crate::resident::ResidentBdds;
 
 /// One move class of the rewriting search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,15 +151,18 @@ pub struct RewriteConfig {
     /// on the surviving net, so a zero slack would reject nearly all of
     /// them; the slack is what gate sizing recovers afterwards.
     pub delay_slack: f64,
-    /// Skip the don't-care move class while the circuit's shared BDD
-    /// manager holds more than this many nodes. Don't-care extraction
-    /// substitutes through every dependent cone per candidate, so its cost
-    /// scales with candidates × manager size — prohibitive exactly on the
-    /// BDD-heavy arithmetic circuits that carry no observability
-    /// don't-cares in the first place.
+    /// Skip the don't-care move class for a round while the resident BDD
+    /// manager, collected at the round boundary, holds more than this many
+    /// live nodes — the shared BDD of every net's global function in the
+    /// round's netlist. Don't-care extraction substitutes through every
+    /// dependent cone per candidate, so its cost scales with candidates ×
+    /// manager size — prohibitive exactly on the BDD-heavy arithmetic
+    /// circuits that carry no observability don't-cares in the first
+    /// place.
     pub dontcare_node_limit: usize,
-    /// Force full re-evaluation inside the engine (A/B twin: identical
-    /// decisions, no incremental speedup).
+    /// The A/B twin: identical decisions with every reuse switched off —
+    /// full re-evaluation inside the engine, a fresh BDD build per
+    /// enumeration, no don't-care memo, and full STA per candidate.
     pub force_full: bool,
     /// Metrics sink; counters are skipped when disabled.
     pub obs: obs::Obs,
@@ -220,8 +243,10 @@ pub fn rewrite_sim(
 /// Returns the optimized netlist (dead cones swept) and a report. The
 /// result is functionally equivalent to the input on every primary output
 /// and no slower at unit sizing. `Err` is only returned when the *initial*
-/// engine build exhausts the budget; exhaustion mid-search unwinds to the
-/// last committed mark and returns that state with
+/// engine build exhausts the budget. Any later exhaustion — simulation
+/// steps, BDD nodes (the global functions, their updates and the
+/// don't-care analyses all draw on `budget`) or the deadline — unwinds to
+/// the last committed mark and returns that state with
 /// [`RewriteReport::budget_exhausted`] set.
 ///
 /// # Panics
@@ -243,8 +268,6 @@ pub fn try_rewrite_sim(
     }
     let cap_before = engine.switched_cap_live();
     let crit_before = unit_critical(nl);
-    let guard = crit_before * (1.0 + cfg.delay_slack) + 1e-9;
-    let mut cache = CircuitBddCache::new();
     let mut report = RewriteReport {
         cap_before,
         cap_after: cap_before,
@@ -256,109 +279,57 @@ pub fn try_rewrite_sim(
         nets_reevaluated: 0,
         budget_exhausted: false,
     };
+    let mut search = Search {
+        engine,
+        scorer: Scorer {
+            live: Vec::new(),
+            timing: LiveTiming::default(),
+            reference: cfg.force_full,
+            guard: crit_before * (1.0 + cfg.delay_slack) + 1e-9,
+        },
+        budget,
+        cfg,
+    };
     let mut cap_current = cap_before;
 
-    'search: for _round in 0..cfg.max_rounds {
-        let base_mark = engine.checkpoint();
-        let base = engine.netlist().clone();
-        let moves = enumerate_moves(&base, &mut cache, input_probs, cfg);
-        let scored = match score_moves(&mut engine, &moves, budget, guard, cfg, &mut report) {
-            Ok(s) => s,
-            Err(_) => {
-                report.budget_exhausted = true;
-                engine.rollback_to(base_mark);
-                break 'search;
-            }
-        };
-        if scored.is_empty() {
-            break;
-        }
-
-        // Probe the most promising heads one move deeper: the chain score of
-        // a head is the best cap reachable in ≤ lookahead moves from it.
-        // (head index, optional follow-up move, chain cap)
-        type ChainChoice = (usize, Option<(Delta, MoveKind)>, f64);
-        let width = if cfg.lookahead >= 2 { cfg.lookahead_width } else { 1 };
-        let mut best: Option<ChainChoice> = None;
-        for &(head, cap_head) in scored.iter().take(width.max(1)) {
-            let mut chain_cap = cap_head;
-            let mut follow: Option<(Delta, MoveKind)> = None;
-            if cfg.lookahead >= 2 {
-                let head_mark = engine.checkpoint();
-                if engine.try_apply_delta(&moves[head].delta, budget).is_err() {
-                    report.budget_exhausted = true;
-                    engine.rollback_to(base_mark);
-                    break 'search;
-                }
-                let mid = engine.netlist().clone();
-                let next_moves = enumerate_moves(&mid, &mut cache, input_probs, cfg);
-                match score_moves(&mut engine, &next_moves, budget, guard, cfg, &mut report) {
-                    Ok(next_scored) => {
-                        if let Some(&(next, cap_next)) = next_scored.first() {
-                            if cap_next < chain_cap - 1e-9 {
-                                chain_cap = cap_next;
-                                follow =
-                                    Some((next_moves[next].delta.clone(), next_moves[next].kind));
+    match ResidentBdds::try_new(nl, input_probs, budget, cfg.force_full) {
+        Ok(mut bdds) => {
+            for _round in 0..cfg.max_rounds {
+                let base_mark = search.engine.checkpoint();
+                match search.round(&mut bdds, cap_current, &mut report) {
+                    Ok(RoundEnd::Accept(kinds, chain_cap)) => {
+                        let sealed = search.engine.checkpoint();
+                        search.engine.commit(sealed);
+                        cap_current = chain_cap;
+                        report.chains_accepted += 1;
+                        for kind in kinds {
+                            report.accepted.bump(kind);
+                            if cfg.obs.is_enabled() {
+                                cfg.obs.add(kind.accepted_key(), 1);
                             }
                         }
                     }
+                    Ok(RoundEnd::NoMoves) => break,
+                    Ok(RoundEnd::NoGain) => {
+                        search.engine.rollback_to(base_mark);
+                        break;
+                    }
                     Err(_) => {
                         report.budget_exhausted = true;
-                        engine.rollback_to(base_mark);
-                        break 'search;
+                        search.engine.rollback_to(base_mark);
+                        break;
                     }
                 }
-                engine.rollback_to(head_mark);
             }
-            let better = match best {
-                None => true,
-                Some((_, _, best_cap)) => chain_cap < best_cap - 1e-9,
-            };
-            if better {
-                best = Some((head, follow, chain_cap));
-            }
+            bdds.publish(&cfg.obs);
         }
-
-        let Some((head, follow, chain_cap)) = best else {
-            break;
-        };
-        if chain_cap >= cap_current - 1e-9 {
-            // No chain improves on the current circuit: done.
-            engine.rollback_to(base_mark);
-            break;
-        }
-        // Re-apply the winning chain and seal it.
-        let mut kinds = vec![moves[head].kind];
-        let mut ok = engine.try_apply_delta(&moves[head].delta, budget).is_ok();
-        if ok {
-            if let Some((ref d, kind)) = follow {
-                ok = engine.try_apply_delta(d, budget).is_ok();
-                kinds.push(kind);
-            }
-        }
-        if !ok {
-            report.budget_exhausted = true;
-            engine.rollback_to(base_mark);
-            break 'search;
-        }
-        debug_assert!(
-            (engine.switched_cap_live() - chain_cap).abs() < 1e-9,
-            "replayed chain must reproduce its speculated score"
-        );
-        let sealed = engine.checkpoint();
-        engine.commit(sealed);
-        cap_current = chain_cap;
-        report.chains_accepted += 1;
-        for kind in kinds.drain(..) {
-            report.accepted.bump(kind);
-            if cfg.obs.is_enabled() {
-                cfg.obs.add(kind.accepted_key(), 1);
-            }
-        }
+        // No global functions, no moves: the input is the safe state.
+        Err(_) => report.budget_exhausted = true,
     }
 
     // No accepted chain leaves the input untouched (net ids intact for
     // callers holding resident engines); otherwise return the live logic.
+    let engine = search.engine;
     let out = if report.chains_accepted == 0 {
         nl.clone()
     } else {
@@ -372,7 +343,8 @@ pub fn try_rewrite_sim(
     Ok((out, report))
 }
 
-/// Unit-sized critical path of the live logic — the equal-delay guard metric.
+/// Unit-sized critical path of the live logic — the equal-delay guard
+/// metric, computed the reference way (clone, sweep, full STA).
 fn unit_critical(nl: &Netlist) -> f64 {
     let mut swept = nl.clone();
     swept.sweep_dead();
@@ -380,57 +352,180 @@ fn unit_critical(nl: &Netlist) -> f64 {
     sized.sta_cache().critical(&sized)
 }
 
-/// Score every move on the engine: apply, read the live cap, check the
-/// equal-delay guard, roll back. Returns the feasible moves sorted best cap
-/// first (ties broken by enumeration order, so the search is deterministic).
-fn score_moves(
-    engine: &mut IncrementalSim,
-    moves: &[Move],
-    budget: &ResourceBudget,
-    guard: f64,
-    cfg: &RewriteConfig,
-    report: &mut RewriteReport,
-) -> Result<Vec<(usize, f64)>, BudgetExceeded> {
-    let mut scored = Vec::new();
-    for (i, mv) in moves.iter().enumerate() {
-        report.tried.bump(mv.kind);
-        if cfg.obs.is_enabled() {
-            cfg.obs.add(mv.kind.tried_key(), 1);
-        }
-        let mark = engine.checkpoint();
-        if let Err(e) = engine.try_apply_delta(&mv.delta, budget) {
-            engine.rollback_to(mark);
-            return Err(e);
-        }
-        let cap = engine.switched_cap_live();
-        let crit = unit_critical(engine.netlist());
-        engine.rollback_to(mark);
-        if crit <= guard {
-            scored.push((i, cap));
-        }
-    }
-    scored.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    Ok(scored)
+/// How one round of the search ended.
+enum RoundEnd {
+    /// The winning chain (its move kinds and live cap) is applied on the
+    /// engine, ready to be sealed.
+    Accept(Vec<MoveKind>, f64),
+    /// No legal move: the search is done.
+    NoMoves,
+    /// Legal moves, but no chain beats the current circuit: unwind.
+    NoGain,
 }
 
-/// Enumerate all candidate moves against `nl`, per class, in deterministic
-/// net-id order, each class capped at `cfg.moves_per_class`.
+/// Judges the engine's current netlist: live switched capacitance and the
+/// equal-delay guard, from one walk of the live logic.
+struct Scorer {
+    live: Vec<bool>,
+    timing: LiveTiming,
+    /// Time each candidate the reference way ([`unit_critical`]) instead
+    /// of from the shared live walk — the `force_full` twin.
+    reference: bool,
+    /// Largest legal unit-sized critical path.
+    guard: f64,
+}
+
+impl Scorer {
+    /// The live switched capacitance of the engine's netlist, and whether
+    /// the netlist passes the delay guard.
+    fn score(&mut self, engine: &IncrementalSim) -> (f64, bool) {
+        let nl = engine.netlist();
+        nl.live_nets_into(&mut self.live);
+        let cap = engine.switched_cap_of_live(&self.live);
+        let crit = if self.reference {
+            unit_critical(nl)
+        } else {
+            unit_critical_live(nl, &self.live, &mut self.timing)
+        };
+        (cap, crit <= self.guard)
+    }
+}
+
+/// The search's resident engine and per-run context.
+struct Search<'a> {
+    engine: IncrementalSim,
+    scorer: Scorer,
+    budget: &'a ResourceBudget,
+    cfg: &'a RewriteConfig,
+}
+
+impl Search<'_> {
+    /// One round: enumerate on the base, score, probe the best heads one
+    /// move deeper, and leave the winning chain applied (not sealed).
+    fn round(
+        &mut self,
+        bdds: &mut ResidentBdds,
+        cap_current: f64,
+        report: &mut RewriteReport,
+    ) -> Result<RoundEnd, BudgetExceeded> {
+        let (budget, cfg) = (self.budget, self.cfg);
+        // The don't-care class is decided once per round, on the base's
+        // collected manager, and holds for the lookahead enumerations.
+        let dontcare = bdds.rebase(self.engine.netlist(), budget)? <= cfg.dontcare_node_limit;
+        let moves = enumerate_moves(bdds, dontcare, budget, cfg)?;
+        let scored = self.score_moves(&moves, report)?;
+        if scored.is_empty() {
+            return Ok(RoundEnd::NoMoves);
+        }
+
+        // Probe the most promising heads one move deeper: the chain score of
+        // a head is the best cap reachable in ≤ lookahead moves from it.
+        // (head index, optional follow-up move, chain cap)
+        type ChainChoice = (usize, Option<(Delta, MoveKind)>, f64);
+        let width = if cfg.lookahead >= 2 { cfg.lookahead_width } else { 1 };
+        let mut best: Option<ChainChoice> = None;
+        for &(head, cap_head) in scored.iter().take(width.max(1)) {
+            let mut chain_cap = cap_head;
+            let mut follow: Option<(Delta, MoveKind)> = None;
+            if cfg.lookahead >= 2 {
+                let head_mark = self.engine.checkpoint();
+                self.engine.try_apply_delta(&moves[head].delta, budget)?;
+                bdds.view(self.engine.netlist(), budget)?;
+                let next_moves = enumerate_moves(bdds, dontcare, budget, cfg)?;
+                let next_scored = self.score_moves(&next_moves, report)?;
+                if let Some(&(next, cap_next)) = next_scored.first() {
+                    if cap_next < chain_cap - 1e-9 {
+                        chain_cap = cap_next;
+                        follow = Some((next_moves[next].delta.clone(), next_moves[next].kind));
+                    }
+                }
+                self.engine.rollback_to(head_mark);
+            }
+            let better = match best {
+                None => true,
+                Some((_, _, best_cap)) => chain_cap < best_cap - 1e-9,
+            };
+            if better {
+                best = Some((head, follow, chain_cap));
+            }
+        }
+
+        let Some((head, follow, chain_cap)) = best else {
+            return Ok(RoundEnd::NoMoves);
+        };
+        if chain_cap >= cap_current - 1e-9 {
+            // No chain improves on the current circuit: done.
+            return Ok(RoundEnd::NoGain);
+        }
+        // Re-apply the winning chain.
+        let mut kinds = vec![moves[head].kind];
+        self.engine.try_apply_delta(&moves[head].delta, budget)?;
+        if let Some((ref d, kind)) = follow {
+            self.engine.try_apply_delta(d, budget)?;
+            kinds.push(kind);
+        }
+        debug_assert!(
+            (self.engine.switched_cap_live() - chain_cap).abs() < 1e-9,
+            "replayed chain must reproduce its speculated score"
+        );
+        Ok(RoundEnd::Accept(kinds, chain_cap))
+    }
+
+    /// Score every move on the engine: apply, read the live cap, check the
+    /// equal-delay guard, roll back. Returns the feasible moves sorted best
+    /// cap first (ties broken by enumeration order, so the search is
+    /// deterministic).
+    fn score_moves(
+        &mut self,
+        moves: &[Move],
+        report: &mut RewriteReport,
+    ) -> Result<Vec<(usize, f64)>, BudgetExceeded> {
+        let mut scored = Vec::new();
+        for (i, mv) in moves.iter().enumerate() {
+            report.tried.bump(mv.kind);
+            if self.cfg.obs.is_enabled() {
+                self.cfg.obs.add(mv.kind.tried_key(), 1);
+            }
+            let mark = self.engine.checkpoint();
+            if let Err(e) = self.engine.try_apply_delta(&mv.delta, self.budget) {
+                self.engine.rollback_to(mark);
+                return Err(e);
+            }
+            let (cap, legal) = self.scorer.score(&self.engine);
+            self.engine.rollback_to(mark);
+            if legal {
+                scored.push((i, cap));
+            }
+        }
+        scored.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        Ok(scored)
+    }
+}
+
+/// Enumerate all candidate moves against the current view of `bdds`, per
+/// class, in deterministic net-id order, each class capped at
+/// `cfg.moves_per_class`.
 fn enumerate_moves(
-    nl: &Netlist,
-    cache: &mut CircuitBddCache,
-    input_probs: &[f64],
+    bdds: &mut ResidentBdds,
+    dontcare: bool,
+    budget: &ResourceBudget,
     cfg: &RewriteConfig,
-) -> Vec<Move> {
-    let bdds = cache
-        .get_or_build(nl, &ResourceBudget::unlimited())
-        .expect("unlimited budget");
-    let live = live_mask(nl);
+) -> Result<Vec<Move>, BudgetExceeded> {
     let mut out = Vec::new();
-    resub_moves(nl, &bdds, &live, cfg.moves_per_class, &mut out);
+    let nl = bdds.netlist();
+    let live = nl.live_nets();
+    resub_moves(
+        nl,
+        bdds.funcs(),
+        bdds.manager(),
+        &live,
+        cfg.moves_per_class,
+        &mut out,
+    );
     pair_extract_moves(nl, &live, cfg.moves_per_class, &mut out);
     kernel_moves(nl, &live, cfg.moves_per_class, &mut out);
     // Don't-care extraction substitutes a fresh variable through every
@@ -438,34 +533,10 @@ fn enumerate_moves(
     // times global BDD size. On BDD-heavy circuits (arithmetic, which has
     // no observability don't-cares anyway) that dwarfs the rest of the
     // search, so the class only runs while the shared manager stays small.
-    if bdds.mgr.node_count() <= cfg.dontcare_node_limit {
-        dontcare_moves(nl, &bdds, input_probs, cfg, &mut out);
+    if dontcare {
+        dontcare_moves(bdds, budget, cfg, &mut out)?;
     }
-    out
-}
-
-/// Reachability from primary outputs and inputs — rewrites leave dead cones
-/// in place (net ids stay stable for the engine), so moves only target live
-/// logic.
-fn live_mask(nl: &Netlist) -> Vec<bool> {
-    let mut live = vec![false; nl.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (net, _) in nl.outputs() {
-        stack.push(net.index());
-    }
-    for &pi in nl.inputs() {
-        stack.push(pi.index());
-    }
-    while let Some(v) = stack.pop() {
-        if live[v] {
-            continue;
-        }
-        live[v] = true;
-        for &f in nl.fanins(NetId::from_index(v)) {
-            stack.push(f.index());
-        }
-    }
-    live
+    Ok(out)
 }
 
 /// Resubstitution: redirect users of a net to a no-deeper net with the same
@@ -473,23 +544,26 @@ fn live_mask(nl: &Netlist) -> Vec<bool> {
 /// acyclic: fanin edges strictly decrease level, so with
 /// `level(d) ≤ level(net)` no user of `net` (always deeper than `net`) can
 /// sit inside `d`'s transitive fanin.
-fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out: &mut Vec<Move>) {
+fn resub_moves(
+    nl: &Netlist,
+    funcs: &[Ref],
+    mgr: &Bdd,
+    live: &[bool],
+    cap: usize,
+    out: &mut Vec<Move>,
+) {
     let Ok(levels) = nl.levels() else {
         return;
     };
-    let mut mgr = bdds.mgr.clone();
-    // The clone only computes complements (no new nodes beyond the
-    // complement edges), but keep it from collecting under us regardless.
-    mgr.set_auto_gc(false);
     // Representative for each global function: the shallowest live net
     // (ties to the lowest id, so enumeration is deterministic).
     let mut rep: HashMap<Ref, NetId> = HashMap::new();
     for net in nl.iter_nets() {
         let i = net.index();
-        if !live[i] || bdds.funcs[i].is_const() {
+        if !live[i] || funcs[i].is_const() {
             continue;
         }
-        rep.entry(bdds.funcs[i])
+        rep.entry(funcs[i])
             .and_modify(|r| {
                 if (levels[i], i) < (levels[r.index()], r.index()) {
                     *r = net;
@@ -504,10 +578,10 @@ fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out:
         }
         let i = net.index();
         let kind = nl.kind(net);
-        if !live[i] || kind.is_source() || kind == GateKind::Dff || bdds.funcs[i].is_const() {
+        if !live[i] || kind.is_source() || kind == GateKind::Dff || funcs[i].is_const() {
             continue;
         }
-        if let Some(&d) = rep.get(&bdds.funcs[i]) {
+        if let Some(&d) = rep.get(&funcs[i]) {
             if d != net && levels[d.index()] <= levels[i] {
                 let mut delta = Delta::for_netlist(nl);
                 delta.replace_uses(net, d);
@@ -519,7 +593,7 @@ fn resub_moves(nl: &Netlist, bdds: &CircuitBdds, live: &[bool], cap: usize, out:
                 continue;
             }
         }
-        let complement = mgr.not(bdds.funcs[i]);
+        let complement = mgr.not(funcs[i]);
         if let Some(&d) = rep.get(&complement) {
             if d != net && levels[d.index()] <= levels[i] {
                 let mut delta = Delta::for_netlist(nl);
@@ -759,23 +833,23 @@ fn emit_sop(
     }
 }
 
-/// The don't-care table rewrites of [`crate::dontcare`] as one move class.
+/// The don't-care table rewrites of [`crate::dontcare`] as one move class,
+/// analysed through the resident memo.
 fn dontcare_moves(
-    nl: &Netlist,
-    bdds: &CircuitBdds,
-    input_probs: &[f64],
+    bdds: &mut ResidentBdds,
+    budget: &ResourceBudget,
     cfg: &RewriteConfig,
     out: &mut Vec<Move>,
-) {
+) -> Result<(), BudgetExceeded> {
     let mut count = 0;
-    for node in sim_candidates(nl, cfg.max_fanin) {
+    for node in sim_candidates(bdds.netlist(), cfg.max_fanin) {
         if count >= cfg.moves_per_class {
             break;
         }
-        let Some(rewrite) = find_rewrite(nl, bdds, node, input_probs) else {
+        let Some(rewrite) = bdds.analyse(node, budget)? else {
             continue;
         };
-        let mut delta = Delta::for_netlist(nl);
+        let mut delta = Delta::for_netlist(bdds.netlist());
         let root = synthesize_table_delta(&mut delta, &rewrite.fanins, &rewrite.table);
         delta.replace_uses(node, root);
         out.push(Move {
@@ -784,6 +858,7 @@ fn dontcare_moves(
         });
         count += 1;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -833,7 +908,7 @@ mod tests {
         let y = nl.add_gate(GateKind::And, &[a, b, d]);
         let f = nl.add_gate(GateKind::Or, &[x, y]);
         nl.mark_output(f, "f");
-        let live = live_mask(&nl);
+        let live = nl.live_nets();
         let mut moves = Vec::new();
         pair_extract_moves(&nl, &live, 16, &mut moves);
         assert!(!moves.is_empty(), "shared pair {{a,b}} should be found");
@@ -860,7 +935,7 @@ mod tests {
         let t3 = nl.add_gate(GateKind::And, &[a, b, e]);
         let f = nl.add_gate(GateKind::Or, &[t1, t2, t3, g]);
         nl.mark_output(f, "f");
-        let live = live_mask(&nl);
+        let live = nl.live_nets();
         let mut moves = Vec::new();
         kernel_moves(&nl, &live, 16, &mut moves);
         assert!(!moves.is_empty(), "the (c + d + e) kernel should be found");
@@ -897,32 +972,72 @@ mod tests {
         }
     }
 
+    /// The resident state (cone-local BDD updates, the don't-care memo,
+    /// the live-logic guard) against the twin that rebuilds, re-analyses
+    /// and re-times everything: identical decisions on a small DAG, an
+    /// arithmetic circuit and a 16-input DAG — with the memo answering
+    /// part of the incremental search's analyses and none of the twin's.
     #[test]
     fn force_full_twin_makes_identical_decisions() {
-        let config = netlist::gen::RandomDagConfig {
-            inputs: 5,
-            gates: 24,
-            outputs: 2,
-            max_fanin: 3,
-            window: 8,
+        let counter = |obs: &obs::Obs, key: &str| {
+            let snap = obs.snapshot();
+            snap.counters
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0, |&(_, v)| v)
         };
-        let nl = netlist::gen::random_dag(&config, 3);
-        let packed = Stimulus::uniform(5).packed(256, 3);
-        let incr_cfg = RewriteConfig::default();
-        let full_cfg = RewriteConfig {
-            force_full: true,
-            ..RewriteConfig::default()
+        let dag = |inputs, gates, outputs, window, seed| {
+            let config = netlist::gen::RandomDagConfig {
+                inputs,
+                gates,
+                outputs,
+                max_fanin: 3,
+                window,
+            };
+            netlist::gen::random_dag(&config, seed)
         };
-        let (a, ra) = rewrite_sim(&nl, &[0.5; 5], &packed, &incr_cfg);
-        let (b, rb) = rewrite_sim(&nl, &[0.5; 5], &packed, &full_cfg);
-        assert_eq!(ra.cap_after.to_bits(), rb.cap_after.to_bits());
-        assert_eq!(ra.chains_accepted, rb.chains_accepted);
-        assert_eq!(ra.tried, rb.tried);
-        assert_eq!(ra.accepted, rb.accepted);
-        assert_eq!(a.len(), b.len());
-        for net in a.iter_nets() {
-            assert_eq!(a.kind(net), b.kind(net), "{net}");
-            assert_eq!(a.fanins(net), b.fanins(net), "{net}");
+        for nl in [
+            dag(5, 24, 2, 8, 3),
+            netlist::gen::wallace_multiplier(4).0,
+            dag(16, 60, 6, 16, 7),
+        ] {
+            let inputs = nl.num_inputs();
+            let probs = vec![0.5; inputs];
+            let packed = Stimulus::uniform(inputs).packed(256, 3);
+            let incr_cfg = RewriteConfig {
+                obs: obs::Obs::enabled(),
+                ..RewriteConfig::default()
+            };
+            let full_cfg = RewriteConfig {
+                force_full: true,
+                obs: obs::Obs::enabled(),
+                ..RewriteConfig::default()
+            };
+            let (a, ra) = rewrite_sim(&nl, &probs, &packed, &incr_cfg);
+            let (b, rb) = rewrite_sim(&nl, &probs, &packed, &full_cfg);
+            let name = nl.name();
+            let analyses = |cfg: &RewriteConfig| {
+                let analysed = counter(&cfg.obs, "rewrite.dc.analysed");
+                (analysed, counter(&cfg.obs, "rewrite.dc.reused"))
+            };
+            let (incr_analysed, incr_reused) = analyses(&incr_cfg);
+            let (full_analysed, full_reused) = analyses(&full_cfg);
+            assert_eq!(incr_analysed + incr_reused, full_analysed, "{name}");
+            assert_eq!(full_reused, 0, "{name}");
+            assert!(counter(&incr_cfg.obs, "bdd.ite_calls") > 0, "{name}");
+            assert_eq!(ra.cap_after.to_bits(), rb.cap_after.to_bits(), "{name}");
+            assert_eq!(ra.crit_after.to_bits(), rb.crit_after.to_bits(), "{name}");
+            assert_eq!(ra.chains_accepted, rb.chains_accepted, "{name}");
+            assert_eq!(ra.tried, rb.tried, "{name}");
+            assert_eq!(ra.accepted, rb.accepted, "{name}");
+            assert_eq!(a.len(), b.len(), "{name}");
+            for net in a.iter_nets() {
+                assert_eq!(a.kind(net), b.kind(net), "{name} {net}");
+                assert_eq!(a.fanins(net), b.fanins(net), "{name} {net}");
+            }
+            if inputs == 16 {
+                assert!(incr_reused > 0, "the memo must answer some analyses");
+            }
         }
     }
 

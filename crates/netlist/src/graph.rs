@@ -530,12 +530,20 @@ impl Netlist {
     // Surgery
     // ------------------------------------------------------------------
 
-    /// Remove nodes not reachable from any primary output or flip-flop.
-    ///
-    /// Returns the mapping `old id -> new id` (`None` for removed nodes).
-    pub fn sweep_dead(&mut self) -> Vec<Option<NetId>> {
-        let n = self.nodes.len();
-        let mut live = vec![false; n];
+    /// The nets [`Netlist::sweep_dead`] keeps: everything reachable from a
+    /// primary output or flip-flop, plus every primary input. Indexed by
+    /// raw net id.
+    pub fn live_nets(&self) -> Vec<bool> {
+        let mut live = Vec::new();
+        self.live_nets_into(&mut live);
+        live
+    }
+
+    /// [`Netlist::live_nets`] into a caller-owned buffer (resized to the
+    /// netlist length), for loops that ask once per candidate edit.
+    pub fn live_nets_into(&self, live: &mut Vec<bool>) {
+        live.clear();
+        live.resize(self.nodes.len(), false);
         let mut stack: Vec<usize> = Vec::new();
         for (net, _) in &self.outputs {
             stack.push(net.index());
@@ -556,6 +564,14 @@ impl Netlist {
                 stack.push(input.index());
             }
         }
+    }
+
+    /// Remove nodes not reachable from any primary output or flip-flop.
+    ///
+    /// Returns the mapping `old id -> new id` (`None` for removed nodes).
+    pub fn sweep_dead(&mut self) -> Vec<Option<NetId>> {
+        let n = self.nodes.len();
+        let live = self.live_nets();
         let mut map: Vec<Option<NetId>> = vec![None; n];
         let mut new_nodes = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {

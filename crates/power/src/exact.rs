@@ -113,29 +113,36 @@ pub fn try_circuit_bdds_reorder(
     }
     mgr.set_reorder_schedule(reorder.schedule);
     let result = build_funcs(&mut mgr, nl, budget);
-    if obs.is_enabled() {
-        let c = mgr.op_counts();
-        obs.add("bdd.ite_calls", c.ite_calls);
-        obs.add("bdd.cache_lookups", c.cache_lookups);
-        obs.add("bdd.cache_hits", c.cache_hits);
-        obs.add("bdd.cache_evictions", c.cache_evictions);
-        obs.add("bdd.unique_lookups", c.unique_lookups);
-        obs.add("bdd.unique_hits", c.unique_hits);
-        obs.add("bdd.nodes_created", c.nodes_created);
-        obs.add("bdd.gc_runs", c.gc_runs);
-        obs.add("bdd.nodes_freed", c.nodes_freed);
-        obs.add("bdd.reorder.runs", c.reorder_runs);
-        obs.add("bdd.reorder.swaps", c.reorder_swaps);
-        obs.add("bdd.reorder.nodes_before", c.reorder_nodes_before);
-        obs.add("bdd.reorder.nodes_after", c.reorder_nodes_after);
-        obs.gauge_max("bdd.peak_nodes", mgr.peak_live_nodes() as f64);
-    }
+    publish_op_counts(obs, mgr.op_counts(), mgr.peak_live_nodes());
     let (funcs, input_vars) = result?;
     Ok(CircuitBdds {
         mgr,
         funcs,
         input_vars,
     })
+}
+
+/// Publish BDD kernel work to `obs`: every [`bdd::OpCounts`] field as a
+/// `bdd.*` counter and `peak` live nodes as the `bdd.peak_nodes` gauge
+/// (a running max across publishers).
+pub fn publish_op_counts(obs: &obs::Obs, c: bdd::OpCounts, peak: usize) {
+    if !obs.is_enabled() {
+        return;
+    }
+    obs.add("bdd.ite_calls", c.ite_calls);
+    obs.add("bdd.cache_lookups", c.cache_lookups);
+    obs.add("bdd.cache_hits", c.cache_hits);
+    obs.add("bdd.cache_evictions", c.cache_evictions);
+    obs.add("bdd.unique_lookups", c.unique_lookups);
+    obs.add("bdd.unique_hits", c.unique_hits);
+    obs.add("bdd.nodes_created", c.nodes_created);
+    obs.add("bdd.gc_runs", c.gc_runs);
+    obs.add("bdd.nodes_freed", c.nodes_freed);
+    obs.add("bdd.reorder.runs", c.reorder_runs);
+    obs.add("bdd.reorder.swaps", c.reorder_swaps);
+    obs.add("bdd.reorder.nodes_before", c.reorder_nodes_before);
+    obs.add("bdd.reorder.nodes_after", c.reorder_nodes_after);
+    obs.gauge_max("bdd.peak_nodes", peak as f64);
 }
 
 type Funcs = (Vec<Ref>, Vec<u32>);
@@ -176,34 +183,52 @@ fn build_funcs(
             continue;
         }
         let ins: Vec<Ref> = nl.fanins(net).iter().map(|x| funcs[x.index()]).collect();
-        let func = match kind {
-            GateKind::Const(v) => mgr.constant(v),
-            GateKind::Buf => ins[0],
-            GateKind::Not => mgr.try_not(ins[0], budget)?,
-            GateKind::And => mgr.try_and_all(ins, budget)?,
-            GateKind::Or => mgr.try_or_all(ins, budget)?,
-            GateKind::Nand => {
-                let a = mgr.try_and_all(ins, budget)?;
-                mgr.try_not(a, budget)?
-            }
-            GateKind::Nor => {
-                let o = mgr.try_or_all(ins, budget)?;
-                mgr.try_not(o, budget)?
-            }
-            GateKind::Xor => mgr.try_xor_all(ins, budget)?,
-            GateKind::Xnor => {
-                let x = mgr.try_xor_all(ins, budget)?;
-                mgr.try_not(x, budget)?
-            }
-            GateKind::Mux => mgr.try_ite(ins[0], ins[2], ins[1], budget)?,
-            GateKind::Input | GateKind::Dff => unreachable!(),
-        };
+        let func = try_gate_func(mgr, kind, &ins, budget)?;
         // Root the completed function so GC under budget pressure only
         // reclaims abandoned intermediates.
         mgr.protect(func);
         funcs[net.index()] = func;
     }
     Ok((funcs, input_vars))
+}
+
+/// The global function of one gate of `kind` over fanin functions `ins`,
+/// built under `budget` — the single gate-to-BDD mapping every circuit
+/// build, resident update and don't-care substitution goes through, so
+/// all of them agree on each gate's function.
+///
+/// # Panics
+///
+/// Panics on sources (`Input`, `Dff`): those are variables, not gates.
+pub fn try_gate_func(
+    mgr: &mut Bdd,
+    kind: GateKind,
+    ins: &[Ref],
+    budget: &ResourceBudget,
+) -> Result<Ref, BudgetExceeded> {
+    let all = ins.iter().copied();
+    Ok(match kind {
+        GateKind::Const(v) => mgr.constant(v),
+        GateKind::Buf => ins[0],
+        GateKind::Not => mgr.not(ins[0]),
+        GateKind::And => mgr.try_and_all(all, budget)?,
+        GateKind::Or => mgr.try_or_all(all, budget)?,
+        GateKind::Nand => {
+            let a = mgr.try_and_all(all, budget)?;
+            mgr.not(a)
+        }
+        GateKind::Nor => {
+            let o = mgr.try_or_all(all, budget)?;
+            mgr.not(o)
+        }
+        GateKind::Xor => mgr.try_xor_all(all, budget)?,
+        GateKind::Xnor => {
+            let x = mgr.try_xor_all(all, budget)?;
+            mgr.not(x)
+        }
+        GateKind::Mux => mgr.try_ite(ins[0], ins[2], ins[1], budget)?,
+        GateKind::Input | GateKind::Dff => unreachable!("sources are variables"),
+    })
 }
 
 impl CircuitBdds {

@@ -1039,40 +1039,39 @@ impl IncrementalSim {
     /// sweeping preserves the relative order of live nodes, so both sums
     /// visit the same loads and toggle rates in the same order.
     pub fn switched_cap_live(&self) -> f64 {
-        let n = self.nl.len();
-        let mut live = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        for (net, _) in self.nl.outputs() {
-            stack.push(net.index());
-        }
-        for &pi in self.nl.inputs() {
-            stack.push(pi.index());
-        }
-        while let Some(v) = stack.pop() {
-            if live[v] {
+        self.switched_cap_of_live(&self.nl.live_nets())
+    }
+
+    /// [`IncrementalSim::switched_cap_live`] over a caller-computed live
+    /// mask ([`Netlist::live_nets_into`] on [`IncrementalSim::netlist`]),
+    /// so a caller that also times the live logic walks it once.
+    ///
+    /// Loads accumulate sink by sink in net-id order — the order
+    /// [`Netlist::fanouts`] lists each net's sinks in — so every load is
+    /// the same sequence of additions as the fanout-list form, with no
+    /// per-call fanout table.
+    pub fn switched_cap_of_live(&self, live: &[bool]) -> f64 {
+        assert_eq!(live.len(), self.nl.len(), "live mask of another netlist");
+        let mut load: Vec<f64> = self
+            .nl
+            .iter_nets()
+            .map(|net| self.nl.kind(net).intrinsic_cap(self.nl.fanins(net).len()))
+            .collect();
+        for sink in self.nl.iter_nets() {
+            if !live[sink.index()] {
                 continue;
             }
-            live[v] = true;
-            for &f in self.nl.fanins(NetId::from_index(v)) {
-                stack.push(f.index());
+            let pin = self.nl.kind(sink).input_cap();
+            for &f in self.nl.fanins(sink) {
+                load[f.index()] += pin;
             }
         }
-        let fanouts = self.nl.fanouts();
         let denom = (self.cycles.saturating_sub(1)).max(1) as f64;
         let mut total = 0.0;
-        for net in self.nl.iter_nets() {
-            if !live[net.index()] {
-                continue;
+        for (i, &l) in load.iter().enumerate() {
+            if live[i] {
+                total += l * (self.toggles[i] as f64 / denom);
             }
-            let kind = self.nl.kind(net);
-            let fanin = self.nl.fanins(net).len();
-            let mut load = kind.intrinsic_cap(fanin);
-            for &sink in &fanouts[net.index()] {
-                if live[sink.index()] {
-                    load += self.nl.kind(sink).input_cap();
-                }
-            }
-            total += load * (self.toggles[net.index()] as f64 / denom);
         }
         total
     }

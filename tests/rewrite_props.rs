@@ -6,15 +6,25 @@
 //! must be rejected without touching the engine, and a starved budget
 //! must unwind the search to its last committed state, never a torn one.
 //!
+//! The rewriting search's resident BDD state gets a shadow check: after
+//! every step of such an interleaving, its functions must equal a fresh
+//! build's, every memoized don't-care analysis must equal a fresh one,
+//! and the clone-free delay guard must be bit-equal to full STA on a
+//! swept clone.
+//!
 //! Deltas are generated acyclic by construction, mirroring
 //! `incr_props.rs`: rewires draw fanins from strictly lower indices,
 //! buffer chains feed forward, and `replace_uses` replacements read
 //! primary inputs only.
 
 use lowpower::bdd::ResourceBudget;
+use lowpower::circuit::sizing::{unit_critical_live, LiveTiming, SizedCircuit};
+use lowpower::logicopt::dontcare::find_rewrite;
+use lowpower::logicopt::resident::ResidentBdds;
 use lowpower::logicopt::rewrite::{try_rewrite_sim, RewriteConfig};
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::{GateKind, NetId, Netlist, Rng64};
+use lowpower::power::exact::{circuit_bdds, CircuitBdds};
 use lowpower::sim::comb::{equivalent_exhaustive, CombSim};
 use lowpower::sim::event::{DelayModel, EventSim};
 use lowpower::sim::incr::{Delta, IncrementalEventSim, IncrementalSim, Mark};
@@ -126,6 +136,64 @@ fn check_engines(
     Ok(())
 }
 
+/// Shadow-check the resident state on `nl` (which `res` must be viewing;
+/// `fresh` is a fresh build of it): functions against the fresh build by
+/// exhaustive evaluation, memoized analyses against fresh ones, and the
+/// live-logic guard against full STA on a swept clone.
+fn check_resident(
+    res: &ResidentBdds,
+    nl: &Netlist,
+    fresh: &CircuitBdds,
+    probs: &[f64],
+    timing: &mut LiveTiming,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(res.funcs().len(), nl.len());
+    let width = nl.num_inputs();
+    for m in 0..1usize << width {
+        let assignment: Vec<bool> = (0..width).map(|i| m >> i & 1 == 1).collect();
+        for net in nl.iter_nets() {
+            prop_assert_eq!(
+                res.manager().eval(res.funcs()[net.index()], &assignment),
+                fresh.mgr.eval(fresh.funcs[net.index()], &assignment),
+                "function of {} differs at minterm {}",
+                net,
+                m
+            );
+        }
+    }
+    for (node, memoized) in res.memoized() {
+        prop_assert_eq!(
+            memoized,
+            &find_rewrite(nl, fresh, node, probs),
+            "stale memo entry for {}",
+            node
+        );
+    }
+    let mut swept = nl.clone();
+    swept.sweep_dead();
+    let reference = SizedCircuit::new(&swept, 1.0)
+        .timing(f64::INFINITY)
+        .critical;
+    let live = nl.live_nets();
+    prop_assert_eq!(
+        unit_critical_live(nl, &live, timing).to_bits(),
+        reference.to_bits()
+    );
+    Ok(())
+}
+
+/// Live-node count of a fresh build of `nl` once collected down to the
+/// nets' functions — what a rebase must report.
+fn collected_fresh_nodes(nl: &Netlist) -> usize {
+    let mut fresh = circuit_bdds(nl);
+    fresh.mgr.clear_roots();
+    for &f in &fresh.funcs {
+        fresh.mgr.protect(f);
+    }
+    fresh.mgr.gc();
+    fresh.mgr.node_count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -221,6 +289,107 @@ proptest! {
                 check_engines(&engine, &event, &current, &patterns)?;
             }
         }
+    }
+
+    /// The resident rewrite state under arbitrary interleavings of
+    /// apply / checkpoint / rollback_to / commit on the engine, with a
+    /// rebase at every commit and a view of every other state: resident
+    /// functions equal a fresh build's, every memoized don't-care
+    /// analysis equals a fresh `find_rewrite`, the clone-free guard is
+    /// bit-equal to STA on a swept clone, and a rebase reports the
+    /// collected size of a fresh build.
+    #[test]
+    fn resident_state_shadows_fresh_builds(
+        seed in 0u64..5000,
+        gates in 12usize..40,
+        ops in 3usize..10,
+        op_seed in any::<u64>(),
+    ) {
+        let nl = comb_dag(seed, gates);
+        let mut rng = Rng64::new(op_seed);
+        let probs: Vec<f64> = (0..nl.num_inputs()).map(|_| 0.1 + 0.8 * rng.next_f64()).collect();
+        let packed = Stimulus::uniform(8).packed(64, seed);
+        let unlimited = ResourceBudget::unlimited();
+        let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
+        let mut res =
+            ResidentBdds::try_new(&nl, &probs, &unlimited, false).expect("unlimited budget");
+        let mut timing = LiveTiming::default();
+        let base_len = nl.len();
+        let mut marks: Vec<Mark> = Vec::new();
+        for _ in 0..ops {
+            match rng.range(0, 5) {
+                0 | 1 => {
+                    let Some(delta) = random_delta(engine.netlist(), base_len, &mut rng) else {
+                        continue;
+                    };
+                    engine.apply_delta(&delta);
+                }
+                2 => marks.push(engine.checkpoint()),
+                3 => {
+                    if let Some(&m) = marks.last() {
+                        prop_assert!(engine.rollback_to(m));
+                    }
+                }
+                _ => {
+                    if let Some(m) = marks.pop() {
+                        prop_assert!(engine.commit(m));
+                        marks.clear();
+                    }
+                    let nodes = res.rebase(engine.netlist(), &unlimited).expect("unlimited budget");
+                    prop_assert_eq!(nodes, collected_fresh_nodes(engine.netlist()));
+                }
+            }
+            let current = engine.netlist().clone();
+            res.view(&current, &unlimited).expect("unlimited budget");
+            let fresh = circuit_bdds(&current);
+            // Fill the memo (and reuse it) on a random half of the nodes.
+            for net in current.iter_nets() {
+                if !current.kind(net).is_source() && rng.flip() {
+                    let got = res.analyse(net, &unlimited).expect("unlimited budget");
+                    prop_assert_eq!(got, find_rewrite(&current, &fresh, net, &probs));
+                }
+            }
+            check_resident(&res, &current, &fresh, &probs, &mut timing)?;
+        }
+    }
+
+    /// A node budget too small for the search's BDD work unwinds it to
+    /// the last committed state with `budget_exhausted` set: the result
+    /// is equivalent to the input and no worse, and a run that happens
+    /// not to exhaust matches the unlimited search.
+    #[test]
+    fn bdd_starved_rewrite_search_unwinds_to_safe_state(
+        seed in 0u64..5000,
+        max_nodes in 4u64..600,
+    ) {
+        let nl = comb_dag(seed, 30);
+        let probs = vec![0.5; nl.num_inputs()];
+        let packed = Stimulus::uniform(nl.num_inputs()).packed(64, seed ^ 0xB0D);
+        let cfg = RewriteConfig {
+            max_rounds: 4,
+            ..RewriteConfig::default()
+        };
+        let (_, reference) = lowpower::logicopt::rewrite::rewrite_sim(&nl, &probs, &packed, &cfg);
+        let budget = ResourceBudget::unlimited().with_max_bdd_nodes(max_nodes);
+        // The simulator's build spends no BDD nodes, so the call succeeds.
+        let (out, report) = try_rewrite_sim(&nl, &probs, &packed, &budget, &cfg)
+            .expect("node budgets do not bind the simulator");
+        prop_assert!(equivalent_exhaustive(&nl, &out));
+        prop_assert!(report.cap_after <= report.cap_before + 1e-9);
+        if report.budget_exhausted {
+            prop_assert!(report.chains_accepted <= reference.chains_accepted);
+        } else {
+            prop_assert_eq!(report.chains_accepted, reference.chains_accepted);
+            prop_assert_eq!(report.cap_after.to_bits(), reference.cap_after.to_bits());
+        }
+        // The eight input variables and the terminal fill a 9-node budget:
+        // the first gate's BDD already exhausts it, so nothing may change.
+        let starved = ResourceBudget::unlimited().with_max_bdd_nodes(9);
+        let (out, report) = try_rewrite_sim(&nl, &probs, &packed, &starved, &cfg)
+            .expect("node budgets do not bind the simulator");
+        prop_assert!(report.budget_exhausted);
+        prop_assert_eq!(report.chains_accepted, 0);
+        prop_assert_eq!(out.len(), nl.len());
     }
 
     /// Budget exhaustion mid-search unwinds the rewriting pass to its
