@@ -1,13 +1,8 @@
 //! `bench_incr` — incremental-evaluation regression harness.
 //!
-//! Times the three optimization inner loops that the incremental engines
+//! Times the optimization inner loops that the incremental engines
 //! accelerate, from-scratch vs incremental, on the golden circuits:
 //!
-//! * **balance-sweep** (`mult4`): tighten the skew threshold from the
-//!   circuit depth down to 0, measuring glitch activity after every step.
-//!   From-scratch rebalances and re-simulates the whole netlist per
-//!   threshold; the incremental sweep applies `tighten_balance_delta`
-//!   against one resident [`IncrementalEventSim`].
 //! * **sizing-loop** (`mult4`): `downsize_for_power` with a full static
 //!   timing analysis per shrink trial vs the [`StaCache`] that re-times
 //!   only the resized gate's cone.
@@ -32,8 +27,8 @@
 //! cargo run --release -p bench --bin bench_incr [out.json] [--check]
 //! ```
 //!
-//! With `--check` the harness exits nonzero unless the balance, sizing
-//! and rewrite-search loops hold their headline win: work ratio
+//! With `--check` the harness exits nonzero unless the sizing and
+//! rewrite-search loops hold their headline win: work ratio
 //! (incremental evaluations per from-scratch evaluation) at most 1/3, or
 //! wall-clock at least 3x faster. The work ratios are the primary
 //! criterion — they are deterministic, so the check is meaningful on a
@@ -42,23 +37,21 @@
 //! `force_full` twin (which also rebuilds every BDD, re-analyses every
 //! don't-care candidate and re-times every candidate with full STA), so
 //! a search that saves simulator work but loses it elsewhere fails.
-//! Result identity (bitwise sizes,
-//! bitwise capacitance, glitch totals to 1e-9, node-for-node netlists
-//! from the rewrite twins) is always enforced, as is the rewrite-flow
-//! criterion: combined switched capacitance no worse than the sequential
-//! pipeline's at the shared delay constraint.
+//! Result identity (bitwise sizes, bitwise capacitance, node-for-node
+//! netlists from the rewrite twins) is always enforced, as is the
+//! rewrite-flow criterion: combined switched capacitance no worse than
+//! the sequential pipeline's at the shared delay constraint.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use circuit::sizing::SizedCircuit;
-use logicopt::balance::{balance_delta, balance_paths_with_threshold, tighten_balance_delta};
+use logicopt::balance::balance_paths_with_threshold;
 use logicopt::dontcare::{optimize_dontcares_sim, optimize_dontcares_sim_reference};
 use logicopt::rewrite::{rewrite_sim, RewriteConfig};
 use netlist::blif::parse_text;
 use netlist::Netlist;
 use sim::event::{DelayModel, EventSim};
-use sim::incr::IncrementalEventSim;
 use sim::stimulus::{PackedPatterns, Stimulus};
 
 const CYCLES: usize = 256;
@@ -110,83 +103,6 @@ fn time_it(mut f: impl FnMut()) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() / runs as f64);
     }
     best
-}
-
-/// From-scratch balance sweep: rebalance and fully re-simulate per
-/// threshold. Returns the glitch totals the incremental sweep must match.
-fn balance_scratch(nl: &Netlist, patterns: &sim::stimulus::PatternSet, sweep: &[usize]) -> Vec<f64> {
-    sweep
-        .iter()
-        .map(|&t| {
-            let (balanced, _) = balance_paths_with_threshold(nl, t);
-            EventSim::new(&balanced, &DelayModel::Unit)
-                .activity(patterns)
-                .total_glitches_per_cycle()
-        })
-        .collect()
-}
-
-/// Incremental balance sweep: one resident engine, deltas only. Also
-/// returns the total nets re-evaluated (dirty-cone replays + the initial
-/// full build counted as one whole-netlist evaluation).
-fn balance_incr(nl: &Netlist, packed: &PackedPatterns, sweep: &[usize]) -> (Vec<f64>, u64) {
-    let levels = nl.levels().expect("acyclic");
-    let mut engine = IncrementalEventSim::from_full_eval(nl, &DelayModel::Unit, packed);
-    let mut current = nl.clone();
-    let mut from = usize::MAX;
-    let glitches = sweep
-        .iter()
-        .map(|&t| {
-            let (delta, _) = if from == usize::MAX {
-                balance_delta(nl, &levels, t)
-            } else {
-                tighten_balance_delta(&current, nl.len(), &levels, from, t)
-            };
-            from = t;
-            if !delta.is_empty() {
-                delta.apply_to(&mut current);
-                engine.apply_delta(&delta);
-            }
-            engine.activity().total_glitches_per_cycle()
-        })
-        .collect();
-    (glitches, engine.stats().nets_reevaluated + nl.len() as u64)
-}
-
-fn bench_balance() -> Section {
-    let nl = golden("mult4");
-    let patterns = Stimulus::uniform(nl.num_inputs()).patterns(CYCLES, SEED);
-    let packed = PackedPatterns::pack(&patterns);
-    let sweep: Vec<usize> = (0..=nl.depth()).rev().collect();
-
-    let scratch = balance_scratch(&nl, &patterns, &sweep);
-    let (incr, reevaluated) = balance_incr(&nl, &packed, &sweep);
-    // The tightened netlist is isomorphic (not id-identical) to the
-    // one-shot result, so glitch totals match to rounding, not bits.
-    let identical = scratch
-        .iter()
-        .zip(&incr)
-        .all(|(a, b)| (a - b).abs() < 1e-9);
-
-    // From-scratch evaluates every net at every threshold (plus buffers,
-    // uncounted — the ratio is conservative).
-    let scratch_evals = (sweep.len() * nl.len()) as u64;
-    let scratch_seconds = time_it(|| {
-        std::hint::black_box(balance_scratch(&nl, &patterns, &sweep));
-    });
-    let incr_seconds = time_it(|| {
-        std::hint::black_box(balance_incr(&nl, &packed, &sweep));
-    });
-    Section {
-        name: "balance-sweep",
-        circuit: "mult4",
-        scratch_seconds,
-        incr_seconds,
-        speedup: scratch_seconds / incr_seconds,
-        work_ratio: reevaluated as f64 / scratch_evals as f64,
-        work_unit: "net evaluations",
-        identical,
-    }
 }
 
 fn bench_sizing() -> Section {
@@ -451,7 +367,6 @@ fn main() {
     let rand = rand200();
     let (wallace, _) = netlist::gen::wallace_multiplier(8);
     let sections = vec![
-        bench_balance(),
         bench_sizing(),
         bench_dontcare(),
         bench_rewrite_search("rand200", &rand),

@@ -3,15 +3,14 @@
 //! measured by event-driven (glitch-aware) timing simulation before and
 //! after.
 
-use logicopt::balance::{balance_delta, balance_paths_with_threshold};
+use logicopt::balance::balance_paths_with_threshold;
 use logicopt::dontcare::{optimize_dontcares, Mode};
 use logicopt::rewrite::{rewrite_sim, RewriteConfig};
 use netlist::Netlist;
 use power::model::{PowerParams, PowerReport};
 use sim::comb::CombSim;
-use sim::event::DelayModel;
-use sim::incr::IncrementalEventSim;
-use sim::stimulus::Stimulus;
+use sim::event::{DelayModel, EventSim};
+use sim::stimulus::{PackedPatterns, PatternSet, Stimulus};
 
 /// Configuration of the combinational flow.
 #[derive(Debug, Clone)]
@@ -73,9 +72,13 @@ pub struct CombFlowResult {
     pub rewrite_chains: usize,
 }
 
-fn measure(engine: &IncrementalEventSim, config: &CombFlowConfig) -> (PowerReport, f64) {
-    let timing = engine.activity();
-    let report = PowerReport::from_activity(engine.netlist(), &timing.total, &config.params);
+/// Power and glitch fraction of `nl` under unit-delay event-driven
+/// simulation of `patterns`.
+fn measure(nl: &Netlist, patterns: &PatternSet, config: &CombFlowConfig) -> (PowerReport, f64) {
+    let timing = EventSim::new(nl, &DelayModel::Unit)
+        .with_obs(config.obs.clone())
+        .activity(patterns);
+    let report = PowerReport::from_activity(nl, &timing.total, &config.params);
     (report, timing.glitch_fraction())
 }
 
@@ -93,19 +96,11 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
     let obs = &config.obs;
     let flow_span = obs.span("flow.comb");
 
-    // One stimulus, packed once, shared by every measurement in the flow.
-    let packed = Stimulus::uniform(nl.num_inputs()).packed(config.cycles, config.seed);
+    // One stimulus shared by both measurements and the rewriting search.
+    let patterns = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles, config.seed);
 
     let span = obs.span("pass.measure-baseline");
-    let mut engine = IncrementalEventSim::try_from_full_eval(
-        nl,
-        &DelayModel::Unit,
-        &packed,
-        &budget::ResourceBudget::unlimited(),
-        obs.clone(),
-    )
-    .expect("unlimited budget");
-    let (baseline_power, glitch_before) = measure(&engine, config);
+    let (baseline_power, glitch_before) = measure(nl, &patterns, config);
     span.close();
 
     let span = obs.span("pass.rewrite");
@@ -116,6 +111,7 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
             obs: obs.clone(),
             ..RewriteConfig::default()
         };
+        let packed = PackedPatterns::pack(&patterns);
         let (opt, report) = rewrite_sim(nl, &probs, &packed, &rw_cfg);
         (opt, report.chains_accepted)
     } else {
@@ -137,46 +133,23 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
     obs.add("flow.comb.dontcare_rewrites", dc_rewrites as u64);
 
     let span = obs.span("pass.balance");
-    let (balanced, buffers_added) = if dc_rewrites == 0 && rewrite_chains == 0 {
-        // Netlist unchanged since the baseline measurement: balance as a
-        // delta against the resident engine, so the optimized measurement
-        // below re-simulates only the buffered cones.
-        let levels = nl.levels().expect("acyclic");
-        let (delta, buffers) = balance_delta(nl, &levels, config.balance_threshold);
-        if !delta.is_empty() {
-            engine.apply_delta(&delta);
-        }
-        (engine.netlist().clone(), buffers)
-    } else {
-        // A rewriting pass rebuilt and swept the netlist — net ids moved,
-        // which no delta can express. Full-eval fallback: fresh engine.
-        let (balanced, report) =
-            balance_paths_with_threshold(&after_dc, config.balance_threshold);
-        engine = IncrementalEventSim::try_from_full_eval(
-            &balanced,
-            &DelayModel::Unit,
-            &packed,
-            &budget::ResourceBudget::unlimited(),
-            obs.clone(),
-        )
-        .expect("unlimited budget");
-        (balanced, report.buffers_added)
-    };
+    let (balanced, report) = balance_paths_with_threshold(&after_dc, config.balance_threshold);
+    let buffers_added = report.buffers_added;
     span.close();
     obs.add("flow.comb.buffers_added", buffers_added as u64);
 
     // Safety net: the flow must preserve function.
     let span = obs.span("pass.equiv-check");
-    let patterns = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles.min(256), config.seed);
+    let check = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles.min(256), config.seed);
     assert_eq!(
-        CombSim::new(nl).equivalent_on(&balanced, &patterns),
+        CombSim::new(nl).equivalent_on(&balanced, &check),
         None,
         "flow broke functional equivalence"
     );
     span.close();
 
     let span = obs.span("pass.measure-optimized");
-    let (optimized_power, glitch_after) = measure(&engine, config);
+    let (optimized_power, glitch_after) = measure(&balanced, &patterns, config);
     span.close();
 
     obs.gauge_set("flow.comb.power.before", baseline_power.total());
@@ -199,7 +172,55 @@ pub fn optimize(nl: &Netlist, config: &CombFlowConfig) -> CombFlowResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::gen::{array_multiplier, ripple_adder};
+    use netlist::gen::{array_multiplier, random_dag, ripple_adder, RandomDagConfig};
+
+    fn bits(r: &PowerReport) -> [u64; 3] {
+        [r.switching, r.short_circuit, r.leakage].map(f64::to_bits)
+    }
+
+    /// The reported power and glitch fractions are, bit for bit, a
+    /// unit-delay `EventSim` measurement of the input and of the returned
+    /// netlist under the flow's stimulus.
+    fn assert_matches_eventsim(nl: &Netlist, config: &CombFlowConfig, result: &CombFlowResult) {
+        let patterns = Stimulus::uniform(nl.num_inputs()).patterns(config.cycles, config.seed);
+        for (circuit, power, glitch) in [
+            (nl, &result.baseline_power, result.glitch_fraction_before),
+            (&result.netlist, &result.optimized_power, result.glitch_fraction_after),
+        ] {
+            let timing = EventSim::new(circuit, &DelayModel::Unit).activity(&patterns);
+            let expected = PowerReport::from_activity(circuit, &timing.total, &config.params);
+            assert_eq!(bits(power), bits(&expected));
+            assert_eq!(glitch.to_bits(), timing.glitch_fraction().to_bits());
+        }
+    }
+
+    #[test]
+    fn balance_only_power_equals_eventsim() {
+        let (nl, _) = array_multiplier(4);
+        let config = CombFlowConfig::default();
+        let result = optimize(&nl, &config);
+        assert!(result.buffers_added > 0);
+        assert_matches_eventsim(&nl, &config, &result);
+    }
+
+    #[test]
+    fn rewrite_power_equals_eventsim() {
+        let dag = RandomDagConfig {
+            inputs: 8,
+            gates: 40,
+            outputs: 4,
+            max_fanin: 3,
+            window: 12,
+        };
+        let nl = random_dag(&dag, 3);
+        let config = CombFlowConfig {
+            rewrite: true,
+            ..CombFlowConfig::default()
+        };
+        let result = optimize(&nl, &config);
+        assert!(result.rewrite_chains > 0, "the search must change the netlist");
+        assert_matches_eventsim(&nl, &config, &result);
+    }
 
     #[test]
     fn flow_removes_glitches_on_multiplier() {

@@ -70,18 +70,15 @@ pub fn balance_paths_with_threshold(nl: &Netlist, threshold: usize) -> (Netlist,
     )
 }
 
-/// The balancing edit as a [`Delta`] instead of a rebuilt netlist, for the
-/// incremental engines: apply it to an `IncrementalEventSim` holding `nl`
-/// and only the buffered edges' fanout cones re-simulate.
-///
-/// `levels` must be `nl.levels()`. Replaying the delta on a clone of `nl`
-/// produces exactly the netlist [`balance_paths_with_threshold`] returns
-/// (same node ids, same order). Returns the delta and the buffer count.
+/// The balancing edit of [`balance_paths_with_threshold`] as a [`Delta`]
+/// against `nl`: a chain of buffers on every fanin edge whose skew exceeds
+/// `threshold`, appended in gate order. `levels` must be `nl.levels()`.
+/// Returns the delta and the buffer count.
 ///
 /// # Panics
 ///
 /// Panics if the netlist is sequential.
-pub fn balance_delta(nl: &Netlist, levels: &[usize], threshold: usize) -> (Delta, usize) {
+fn balance_delta(nl: &Netlist, levels: &[usize], threshold: usize) -> (Delta, usize) {
     assert!(nl.is_combinational(), "balancing operates on combinational logic");
     let mut delta = Delta::for_netlist(nl);
     let mut buffers_added = 0;
@@ -102,72 +99,6 @@ pub fn balance_delta(nl: &Netlist, levels: &[usize], threshold: usize) -> (Delta
         for (k, &fi) in fanins.iter().enumerate() {
             let skew = latest - arrive[k];
             if skew > threshold {
-                let mut cur = fi;
-                for _ in 0..skew {
-                    cur = delta.add_gate(GateKind::Buf, &[cur]);
-                    buffers_added += 1;
-                }
-                new_fanins[k] = cur;
-            }
-        }
-        if new_fanins != fanins {
-            delta.set_gate(net, kind, &new_fanins);
-        }
-    }
-    (delta, buffers_added)
-}
-
-/// Tighten an already-balanced netlist from threshold `from` down to
-/// threshold `to` (`to < from`) as a [`Delta`] against `current`.
-///
-/// `current` must be `nl` balanced at threshold `from` (by
-/// [`balance_delta`] applications starting from an `original_len`-node
-/// netlist), and `levels` the *original* netlist's levels. Once an edge is
-/// buffered it is padded to zero skew and never revisited, so a descending
-/// threshold sweep can reuse one incremental engine: apply the tightening
-/// delta for each step instead of re-balancing from scratch.
-///
-/// Returns the delta and the number of buffers it adds. The resulting
-/// netlist is isomorphic to `balance_paths_with_threshold(nl, to)` (same
-/// gates and connectivity; buffer ids are appended in sweep order rather
-/// than one-shot order).
-pub fn tighten_balance_delta(
-    current: &Netlist,
-    original_len: usize,
-    levels: &[usize],
-    from: usize,
-    to: usize,
-) -> (Delta, usize) {
-    assert!(to < from, "tightening must lower the threshold");
-    let mut delta = Delta::for_netlist(current);
-    let mut buffers_added = 0;
-    for idx in 0..original_len {
-        let net = NetId::from_index(idx);
-        let kind = current.kind(net);
-        if kind.is_source() || kind == GateKind::Buf {
-            continue;
-        }
-        let fanins: Vec<NetId> = current.fanins(net).to_vec();
-        if fanins.len() < 2 {
-            continue;
-        }
-        // Already-buffered edges are padded to zero skew; the max-skew edge
-        // is never buffered, so `latest` is always computable from the
-        // original edges that remain.
-        let latest = fanins
-            .iter()
-            .filter(|f| f.index() < original_len)
-            .map(|f| levels[f.index()])
-            .max()
-            .expect("at least the latest fanin edge is unbuffered");
-        let mut new_fanins = fanins.clone();
-        for (k, &fi) in fanins.iter().enumerate() {
-            if fi.index() >= original_len {
-                continue;
-            }
-            let skew = latest - levels[fi.index()];
-            debug_assert!(skew <= from, "edge above `from` should already be buffered");
-            if skew > to {
                 let mut cur = fi;
                 for _ in 0..skew {
                     cur = delta.add_gate(GateKind::Buf, &[cur]);
@@ -243,57 +174,6 @@ mod tests {
             glitch_fractions.windows(2).all(|w| w[0] <= w[1] + 1e-9),
             "{glitch_fractions:?}"
         );
-    }
-
-    #[test]
-    fn tighten_sweep_matches_one_shot() {
-        let (nl, _) = array_multiplier(4);
-        let levels = nl.levels().unwrap();
-        let patterns = Stimulus::uniform(8).patterns(200, 17);
-        let mut cur = nl.clone();
-        let mut from = usize::MAX;
-        for t in [5usize, 2, 0] {
-            let (delta, added) = if from == usize::MAX {
-                balance_delta(&nl, &levels, t)
-            } else {
-                tighten_balance_delta(&cur, nl.len(), &levels, from, t)
-            };
-            delta.apply_to(&mut cur);
-            from = t;
-            let (one_shot, report) = balance_paths_with_threshold(&nl, t);
-            // The swept netlist is isomorphic to the one-shot result: same
-            // node count, same function, same glitch behaviour.
-            assert_eq!(cur.len(), one_shot.len(), "threshold {t}");
-            assert!(added <= report.buffers_added);
-            assert!(equivalent_exhaustive(&nl, &cur));
-            let swept = EventSim::new(&cur, &DelayModel::Unit).activity(&patterns);
-            let shot = EventSim::new(&one_shot, &DelayModel::Unit).activity(&patterns);
-            assert!(
-                (swept.total_glitches_per_cycle() - shot.total_glitches_per_cycle()).abs() < 1e-9,
-                "threshold {t}"
-            );
-        }
-        // Fully balanced at the end of the sweep.
-        let fin = EventSim::new(&cur, &DelayModel::Unit).activity(&patterns);
-        assert!(fin.glitch_fraction() < 1e-9);
-    }
-
-    #[test]
-    fn delta_replay_is_byte_identical_to_one_shot() {
-        let (nl, _) = array_multiplier(4);
-        let levels = nl.levels().unwrap();
-        for t in [0usize, 1, 3] {
-            let (delta, added) = balance_delta(&nl, &levels, t);
-            let mut replayed = nl.clone();
-            delta.apply_to(&mut replayed);
-            let (one_shot, report) = balance_paths_with_threshold(&nl, t);
-            assert_eq!(added, report.buffers_added);
-            assert_eq!(replayed.len(), one_shot.len(), "threshold {t}");
-            for net in replayed.iter_nets() {
-                assert_eq!(replayed.kind(net), one_shot.kind(net), "{net} at {t}");
-                assert_eq!(replayed.fanins(net), one_shot.fanins(net), "{net} at {t}");
-            }
-        }
     }
 
     #[test]

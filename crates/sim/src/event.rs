@@ -99,7 +99,7 @@ pub enum DelayModel {
 }
 
 impl DelayModel {
-    pub(crate) fn delay(&self, nl: &Netlist, net: NetId) -> u32 {
+    fn delay(&self, nl: &Netlist, net: NetId) -> u32 {
         match self {
             DelayModel::Unit => 1,
             DelayModel::Analytic { resolution } => {

@@ -1,28 +1,27 @@
 //! Incremental fanout-cone re-evaluation.
 //!
-//! The optimization passes of this workspace (path balancing, don't-care
-//! rewriting, transistor sizing) are iterative-improvement loops: propose a
-//! small structural edit, re-estimate power, accept or revert. Re-running a
-//! full [`crate::comb::CombSim`] / [`crate::event::EventSim`] per candidate
-//! makes every pass O(gates × candidates). The engines here keep the packed
-//! 64-wide per-net words of the last full evaluation resident, apply a
-//! [`Delta`], mark the structural fanout cone of the edit dirty, and
-//! re-evaluate **only** dirtied nets in levelized order — with an early
+//! The search-based optimization passes of this workspace (the rewriting
+//! search, simulation-driven don't-care rewriting) are iterative-improvement
+//! loops: propose a small structural edit, re-estimate power, accept or
+//! revert. Re-running a full [`crate::comb::CombSim`] per candidate makes
+//! every pass O(gates × candidates). [`IncrementalSim`] keeps the packed
+//! 64-wide per-net words of the last full evaluation resident, applies a
+//! [`Delta`], marks the structural fanout cone of the edit dirty, and
+//! re-evaluates **only** dirtied nets in levelized order — with an early
 //! cut-off wherever a re-evaluated net's words come out unchanged. Toggle
 //! and one counts are updated by subtracting the old cone contribution and
 //! adding the new one, never by recounting the stream.
 //!
-//! Both engines are **bit-identical** to their from-scratch counterparts:
-//! [`IncrementalSim::activity`] equals `CombSim::activity` and
-//! [`IncrementalEventSim::activity`] equals `EventSim::activity` on the
-//! same netlist and stimulus, bit for bit. The event-driven variant replays
-//! the existing event queue, but seeds each cycle's wave from the recorded
-//! transition waveforms of the dirty cone's *boundary* (fanins just outside
-//! the cone) instead of the primary inputs, so replay cost is proportional
-//! to the cone's event traffic.
+//! The engine is **bit-identical** to its from-scratch counterpart:
+//! [`IncrementalSim::activity`] equals `CombSim::activity` on the same
+//! netlist and stimulus, bit for bit. Timing (glitch-aware) activity has
+//! no resident engine: its one consumer, path balancing, measures a whole
+//! netlist before and after a single edit, and two
+//! [`crate::event::EventSim`] runs beat cone replay on every circuit
+//! measured.
 //!
 //! When a delta dirties more than half the netlist (or under
-//! `LPOPT_INCR_STRESS=1`), the engines fall back to a full re-evaluation
+//! `LPOPT_INCR_STRESS=1`), the engine falls back to a full re-evaluation
 //! through the same code path — results are identical either way, the
 //! fallback merely skips pointless cone bookkeeping.
 //!
@@ -39,9 +38,7 @@
 //! Observability: every applied delta publishes `sim.incr.deltas`,
 //! `sim.incr.nets_dirtied`, `sim.incr.nets_reevaluated`,
 //! `sim.incr.cutoffs`, and `sim.incr.full_evals`; the undo stack adds
-//! `sim.incr.checkpoints`, `sim.incr.rollbacks`, and `sim.incr.commits`;
-//! the event engine also publishes the usual `sim.event.*` counters for
-//! its (restricted) replays.
+//! `sim.incr.checkpoints`, `sim.incr.rollbacks`, and `sim.incr.commits`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,9 +46,7 @@ use std::collections::BinaryHeap;
 use budget::{BudgetExceeded, ResourceBudget};
 use netlist::{GateKind, NetId, Netlist};
 
-use crate::event::{DelayModel, TimingActivity};
 use crate::profile::ActivityProfile;
-use crate::queue::{CalendarQueue, Scheduled};
 use crate::stimulus::PackedPatterns;
 use crate::wide::{self, LANES};
 
@@ -238,8 +233,8 @@ pub struct IncrStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mark(u64);
 
-/// Undo journal frame for one applied delta. Frames stack: the engines
-/// keep one per apply above the committed floor, undone LIFO.
+/// Undo journal frame for one applied delta. Frames stack: the engine
+/// keeps one per apply above the committed floor, undone LIFO.
 #[derive(Debug, Default)]
 struct Undo {
     prev_len: usize,
@@ -287,10 +282,9 @@ pub struct IncrementalSim {
     /// Outstanding checkpoint marks (nondecreasing). The oldest entry
     /// pins the auto-trim: frames at or above it survive new applies.
     cps: Vec<u64>,
-    // Last-apply info consumed by the event engine.
+    // Per-apply scratch: the nets the delta edited and their fanout cone.
     cone: Vec<NetId>,
     touched: Vec<NetId>,
-    last_full: bool,
     // Epoch-stamped scratch (no per-delta clearing).
     epoch: u64,
     cone_stamp: Vec<u64>,
@@ -336,22 +330,6 @@ impl IncrementalSim {
     /// `sim.comb.cycles` / `sim.comb.gate_evals` counters a
     /// [`crate::comb::CombSim`] run would.
     pub fn try_from_full_eval(
-        nl: &Netlist,
-        packed: &PackedPatterns,
-        budget: &ResourceBudget,
-        obs: obs::Obs,
-    ) -> Result<IncrementalSim, BudgetExceeded> {
-        let sim = Self::build(nl, packed, budget, obs)?;
-        if sim.obs.is_enabled() {
-            sim.obs.add("sim.comb.cycles", sim.cycles as u64);
-            let evaluated = sim.nl.len() - sim.nl.num_inputs();
-            sim.obs
-                .add("sim.comb.gate_evals", sim.nblocks as u64 * evaluated as u64);
-        }
-        Ok(sim)
-    }
-
-    pub(crate) fn build(
         nl: &Netlist,
         packed: &PackedPatterns,
         budget: &ResourceBudget,
@@ -418,7 +396,7 @@ impl IncrementalSim {
             .into_iter()
             .map(|l| l as u32)
             .collect();
-        Ok(IncrementalSim {
+        let sim = IncrementalSim {
             fanouts: nl.fanouts(),
             nl: nl.clone(),
             cycles,
@@ -437,7 +415,6 @@ impl IncrementalSim {
             cps: Vec::new(),
             cone: Vec::new(),
             touched: Vec::new(),
-            last_full: false,
             epoch: 0,
             cone_stamp: vec![0; n],
             queued_stamp: vec![0; n],
@@ -447,7 +424,13 @@ impl IncrementalSim {
             heap: BinaryHeap::new(),
             ins: Vec::new(),
             new_words: vec![0; nblocks],
-        })
+        };
+        if sim.obs.is_enabled() {
+            sim.obs.add("sim.comb.cycles", cycles as u64);
+            let evaluated = n - nl.num_inputs();
+            sim.obs.add("sim.comb.gate_evals", nblocks as u64 * evaluated as u64);
+        }
+        Ok(sim)
     }
 
     /// The engine's current netlist (base netlist plus all applied deltas).
@@ -478,11 +461,6 @@ impl IncrementalSim {
         self
     }
 
-    #[inline]
-    fn word_bit(&self, idx: usize, cycle: usize) -> bool {
-        self.words[idx * self.nblocks + cycle / 64] >> (cycle % 64) & 1 == 1
-    }
-
     /// Apply a delta (unlimited budget).
     ///
     /// # Panics
@@ -501,28 +479,6 @@ impl IncrementalSim {
     /// every 16 nets along with the deadline. On exhaustion the partial
     /// apply is rolled back and the engine is exactly as before the call.
     pub fn try_apply_delta(
-        &mut self,
-        delta: &Delta,
-        budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
-        let info = self.try_apply_delta_noflush(delta, budget)?;
-        self.auto_trim();
-        self.flush_incr(&info);
-        Ok(info)
-    }
-
-    pub(crate) fn flush_incr(&self, info: &ApplyInfo) {
-        if self.obs.is_enabled() {
-            self.obs.add("sim.incr.deltas", 1);
-            self.obs.add("sim.incr.nets_dirtied", info.dirtied as u64);
-            self.obs
-                .add("sim.incr.nets_reevaluated", info.reevaluated as u64);
-            self.obs.add("sim.incr.cutoffs", info.cutoffs as u64);
-            self.obs.add("sim.incr.full_evals", info.full_eval as u64);
-        }
-    }
-
-    pub(crate) fn try_apply_delta_noflush(
         &mut self,
         delta: &Delta,
         budget: &ResourceBudget,
@@ -622,7 +578,6 @@ impl IncrementalSim {
             }
         }
         let full = self.force_full || self.cone.len() * 2 > self.nl.len();
-        self.last_full = full;
 
         // Phase 3: recompute levels (full Kahn pass in fallback mode, a
         // memoized DFS over the cone otherwise; both journal changes and
@@ -757,6 +712,14 @@ impl IncrementalSim {
         self.stats.nets_reevaluated += reevaluated as u64;
         self.stats.cutoffs += cutoffs as u64;
         self.stats.full_evals += full as u64;
+        self.auto_trim();
+        if self.obs.is_enabled() {
+            self.obs.add("sim.incr.deltas", 1);
+            self.obs.add("sim.incr.nets_dirtied", dirtied as u64);
+            self.obs.add("sim.incr.nets_reevaluated", reevaluated as u64);
+            self.obs.add("sim.incr.cutoffs", cutoffs as u64);
+            self.obs.add("sim.incr.full_evals", full as u64);
+        }
         Ok(ApplyInfo {
             dirtied,
             reevaluated,
@@ -1098,604 +1061,10 @@ fn count_words(words: &[u64], cycles: usize) -> (u64, u64) {
     (toggles, ones)
 }
 
-/// One recorded transition: in cycle `cycle`, net changed to `value` at
-/// event time `time`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Tr {
-    cycle: u32,
-    time: u64,
-    value: bool,
-}
-
-/// Undo journal frame for the event layer of one applied delta; stacks in
-/// lockstep with the functional layer's frames.
-#[derive(Debug, Default)]
-struct EventUndo {
-    prev_len: usize,
-    delays: Vec<(NetId, u32)>,
-    /// `(net, old total, old wave)` for dirty existing nets.
-    totals: Vec<(NetId, u64, Vec<Tr>)>,
-}
-
-/// Counters from one event replay.
-#[derive(Debug, Default, Clone, Copy)]
-struct ReplayCounts {
-    processed: u64,
-    enqueued: u64,
-    cancelled: u64,
-    /// Schedules the calendar queue folded into a pending slot plus fanout
-    /// sinks already evaluated in the current bucket (work the old heap
-    /// engine enqueued and then cancelled).
-    coalesced: u64,
-}
-
-/// Incremental event-driven (timing) engine.
-///
-/// Wraps an [`IncrementalSim`] for the functional layer and keeps per-net
-/// *total* transition counts plus the recorded transition waveform of every
-/// net. A delta replays the event waves of the structural cone only,
-/// seeding each cycle from the recorded transitions of the cone's boundary
-/// fanins — the waveforms outside the cone cannot have changed, so the
-/// replayed counts are bit-identical to a from-scratch
-/// [`crate::event::EventSim`] run on the edited netlist.
-#[derive(Debug)]
-pub struct IncrementalEventSim {
-    func: IncrementalSim,
-    model: DelayModel,
-    delays: Vec<u32>,
-    total: Vec<u64>,
-    /// Recorded applied transitions per net, ordered by (cycle, time).
-    waves: Vec<Vec<Tr>>,
-    obs: obs::Obs,
-    /// Event-layer journal frames, one per functional frame, oldest first.
-    undo: Vec<EventUndo>,
-    // Scratch.
-    sepoch: u64,
-    in_cone: Vec<u64>,
-    in_boundary: Vec<u64>,
-    boundary: Vec<NetId>,
-    cursors: Vec<usize>,
-    values: Vec<bool>,
-    ins: Vec<bool>,
-    queue: CalendarQueue,
-    /// True when an aborted replay may have left events in the queue.
-    queue_dirty: bool,
-    /// Largest per-net delay ever seen (monotone; sizes the queue wheel).
-    max_delay: u32,
-    batch: Vec<(u32, bool)>,
-    toggled: Vec<u32>,
-    sink_stamp: Vec<u64>,
-    sink_epoch: u64,
-    replay_total: Vec<u64>,
-    wave_buf: Vec<Vec<Tr>>,
-}
-
-impl IncrementalEventSim {
-    /// Build from a full evaluation plus a full event replay (unlimited
-    /// budget, no obs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on sequential/cyclic netlists or stimulus width mismatch.
-    pub fn from_full_eval(
-        nl: &Netlist,
-        model: &DelayModel,
-        packed: &PackedPatterns,
-    ) -> IncrementalEventSim {
-        match Self::try_from_full_eval(nl, model, packed, &ResourceBudget::unlimited(), obs::Obs::disabled())
-        {
-            Ok(sim) => sim,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// [`IncrementalEventSim::from_full_eval`] under a budget, with an obs
-    /// handle. The initial build publishes the same `sim.event.*` counters
-    /// an [`crate::event::EventSim`] activity run would (plus the
-    /// functional layer's `sim.comb.*`).
-    pub fn try_from_full_eval(
-        nl: &Netlist,
-        model: &DelayModel,
-        packed: &PackedPatterns,
-        budget: &ResourceBudget,
-        obs: obs::Obs,
-    ) -> Result<IncrementalEventSim, BudgetExceeded> {
-        let func = IncrementalSim::build(nl, packed, budget, obs.clone())?;
-        let n = nl.len();
-        let delays: Vec<u32> = nl.iter_nets().map(|net| model.delay(nl, net)).collect();
-        let max_delay = delays.iter().copied().max().unwrap_or(1);
-        let mut sim = IncrementalEventSim {
-            func,
-            model: model.clone(),
-            delays,
-            total: vec![0; n],
-            waves: vec![Vec::new(); n],
-            obs,
-            undo: Vec::new(),
-            sepoch: 0,
-            in_cone: vec![0; n],
-            in_boundary: vec![0; n],
-            boundary: Vec::new(),
-            cursors: Vec::new(),
-            values: Vec::new(),
-            ins: Vec::new(),
-            queue: CalendarQueue::new(),
-            queue_dirty: true,
-            max_delay,
-            batch: Vec::new(),
-            toggled: Vec::new(),
-            sink_stamp: Vec::new(),
-            sink_epoch: 0,
-            replay_total: vec![0; n],
-            wave_buf: vec![Vec::new(); n],
-        };
-        let counts = sim.replay(true, budget)?;
-        for i in 0..n {
-            sim.total[i] = sim.replay_total[i];
-            sim.waves[i] = std::mem::take(&mut sim.wave_buf[i]);
-        }
-        if sim.obs.is_enabled() {
-            sim.obs.add("sim.comb.cycles", sim.func.cycles as u64);
-            let evaluated = n - sim.func.nl.num_inputs();
-            sim.obs
-                .add("sim.comb.gate_evals", sim.func.nblocks as u64 * evaluated as u64);
-            sim.flush_event(&counts);
-        }
-        Ok(sim)
-    }
-
-    fn flush_event(&self, counts: &ReplayCounts) {
-        if self.obs.is_enabled() {
-            self.obs.add("sim.event.cycles", self.func.cycles as u64);
-            self.obs.add("sim.event.processed", counts.processed);
-            self.obs.add("sim.event.enqueued", counts.enqueued);
-            self.obs.add("sim.event.cancelled", counts.cancelled);
-            self.obs.add("sim.event.coalesced", counts.coalesced);
-        }
-    }
-
-    /// The engine's current netlist.
-    pub fn netlist(&self) -> &Netlist {
-        self.func.netlist()
-    }
-
-    /// Cycles in the resident stimulus.
-    pub fn cycles(&self) -> usize {
-        self.func.cycles
-    }
-
-    /// Cumulative incremental-evaluation statistics (functional layer).
-    pub fn stats(&self) -> IncrStats {
-        self.func.stats()
-    }
-
-    /// See [`IncrementalSim::set_force_full`].
-    pub fn set_force_full(&mut self, on: bool) {
-        self.func.set_force_full(on);
-    }
-
-    /// Per-net delay in ticks.
-    pub fn delay_of(&self, net: NetId) -> u32 {
-        self.delays[net.index()]
-    }
-
-    /// Apply a delta (unlimited budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta creates a cycle, violates netlist invariants, or
-    /// (for [`DelayModel::PerNet`]) appends nets beyond the delay table.
-    pub fn apply_delta(&mut self, delta: &Delta) -> ApplyInfo {
-        match self.try_apply_delta(delta, &ResourceBudget::unlimited()) {
-            Ok(info) => info,
-            Err(e) => unreachable!("unlimited budget reported exhaustion: {e}"),
-        }
-    }
-
-    /// Apply a delta under a budget: the functional layer meters
-    /// re-evaluated nets as `cycles` steps each, the event replay meters
-    /// processed events against the same step limit plus the event-queue
-    /// limit. On exhaustion everything (functional + event state) is rolled
-    /// back and the error returned.
-    pub fn try_apply_delta(
-        &mut self,
-        delta: &Delta,
-        budget: &ResourceBudget,
-    ) -> Result<ApplyInfo, BudgetExceeded> {
-        let prev_len = self.func.nl.len();
-        let info = self.func.try_apply_delta_noflush(delta, budget)?;
-        let full = self.func.last_full;
-        let n = self.func.nl.len();
-
-        // Delay layer: only edited/added nets can change (delay depends on
-        // kind + fanin count alone).
-        let mut undo = EventUndo {
-            prev_len,
-            ..EventUndo::default()
-        };
-        for i in 0..self.func.touched.len() {
-            let t = self.func.touched[i];
-            if t.index() < prev_len {
-                undo.delays.push((t, self.delays[t.index()]));
-            }
-        }
-        for idx in prev_len..n {
-            let net = NetId::from_index(idx);
-            self.delays.push(self.model.delay(&self.func.nl, net));
-            self.total.push(0);
-            self.waves.push(Vec::new());
-            self.replay_total.push(0);
-            self.wave_buf.push(Vec::new());
-            self.in_cone.push(0);
-            self.in_boundary.push(0);
-        }
-        for &(net, _) in &undo.delays {
-            self.delays[net.index()] = self.model.delay(&self.func.nl, net);
-        }
-        // The queue wheel is sized by the largest delay ever seen; keeping
-        // the maximum monotone (reverts never shrink it) means a stale
-        // oversized wheel at worst, never an undersized one.
-        for idx in prev_len..n {
-            self.max_delay = self.max_delay.max(self.delays[idx]);
-        }
-        for &(net, _) in &undo.delays {
-            self.max_delay = self.max_delay.max(self.delays[net.index()]);
-        }
-
-        // Event layer: replay the cone's waves.
-        let counts = match self.replay(full, budget) {
-            Ok(c) => c,
-            Err(e) => {
-                for &(net, d) in &undo.delays {
-                    self.delays[net.index()] = d;
-                }
-                self.truncate_event(prev_len);
-                // The functional apply succeeded; unwind just that frame
-                // (earlier frames stay intact for outstanding marks).
-                self.func.pop_frame();
-                self.func.applied -= 1;
-                return Err(e);
-            }
-        };
-        let dirty: Vec<NetId> = if full {
-            (0..n).map(NetId::from_index).collect()
-        } else {
-            self.func.cone.clone()
-        };
-        for &d in &dirty {
-            let idx = d.index();
-            let new_wave = std::mem::take(&mut self.wave_buf[idx]);
-            let old_wave = std::mem::replace(&mut self.waves[idx], new_wave);
-            if idx < prev_len {
-                undo.totals.push((d, self.total[idx], old_wave));
-            }
-            self.total[idx] = self.replay_total[idx];
-        }
-        self.undo.push(undo);
-        let dropped = self.func.auto_trim();
-        self.undo.drain(..dropped);
-        self.func.flush_incr(&info);
-        self.flush_event(&counts);
-        Ok(info)
-    }
-
-    fn truncate_event(&mut self, prev_len: usize) {
-        self.delays.truncate(prev_len);
-        self.total.truncate(prev_len);
-        self.waves.truncate(prev_len);
-        self.replay_total.truncate(prev_len);
-        self.wave_buf.truncate(prev_len);
-        self.in_cone.truncate(prev_len);
-        self.in_boundary.truncate(prev_len);
-        self.sink_stamp.truncate(prev_len);
-    }
-
-    /// Mark the current state for a later rollback or commit; shares the
-    /// functional layer's mark space (see [`IncrementalSim::checkpoint`]).
-    pub fn checkpoint(&mut self) -> Mark {
-        self.func.checkpoint()
-    }
-
-    /// Unwind both layers to `mark`, bit-identical to the state at the
-    /// checkpoint. Rejects (returns false, changes nothing) marks below
-    /// the committed floor; see [`IncrementalSim::rollback_to`].
-    pub fn rollback_to(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.func.floor || mark.0 > self.func.applied {
-            return false;
-        }
-        while self.func.applied > mark.0 {
-            self.pop_event_frame();
-            self.func.pop_frame();
-            self.func.applied -= 1;
-        }
-        while self.func.cps.last().is_some_and(|&m| m > mark.0) {
-            self.func.cps.pop();
-        }
-        self.func.stats.rollbacks += 1;
-        if self.obs.is_enabled() {
-            self.obs.add("sim.incr.rollbacks", 1);
-        }
-        true
-    }
-
-    /// Make every delta at or below `mark` permanent in both layers; see
-    /// [`IncrementalSim::commit`].
-    pub fn commit(&mut self, mark: Mark) -> bool {
-        if mark.0 < self.func.floor || mark.0 > self.func.applied {
-            return false;
-        }
-        let frames = (mark.0 - self.func.floor) as usize;
-        self.undo.drain(..frames);
-        self.func.commit(mark)
-    }
-
-    /// Undo the most recent [`IncrementalEventSim::apply_delta`] still on
-    /// the stack. Returns false if there is nothing left to revert.
-    pub fn revert(&mut self) -> bool {
-        if self.func.applied == self.func.floor || self.undo.is_empty() {
-            return false;
-        }
-        self.rollback_to(Mark(self.func.applied - 1))
-    }
-
-    /// Pop and undo the top event-layer frame (delays, totals, waves).
-    fn pop_event_frame(&mut self) {
-        if let Some(undo) = self.undo.pop() {
-            for &(net, d) in &undo.delays {
-                self.delays[net.index()] = d;
-            }
-            for (net, t, wave) in undo.totals {
-                self.total[net.index()] = t;
-                self.waves[net.index()] = wave;
-            }
-            self.truncate_event(undo.prev_len);
-        }
-    }
-
-    /// Replay event waves. With `full` set, every net is in the cone and
-    /// input seeds come straight from the packed words (this is exactly an
-    /// `EventSim` run). Otherwise only the functional layer's structural
-    /// cone is waved, seeded per cycle by the recorded transitions of the
-    /// cone's boundary fanins; everything outside the cone keeps its
-    /// already-recorded waveform and count.
-    fn replay(&mut self, full: bool, budget: &ResourceBudget) -> Result<ReplayCounts, BudgetExceeded> {
-        const FLUSH: u64 = 1024;
-        let n = self.func.nl.len();
-        let cycles = self.func.cycles;
-        let max_steps = budget.max_sim_steps_or(u64::MAX);
-        let max_queue = budget.max_event_queue_or(u64::MAX);
-        let mut local_steps = 0u64;
-        let mut tally = 0u64;
-        let mut counts = ReplayCounts::default();
-        self.sepoch += 1;
-        self.boundary.clear();
-        if full {
-            self.values.clear();
-            self.values.resize(n, false);
-            for i in 0..n {
-                self.in_cone[i] = self.sepoch;
-                self.values[i] = self.func.word_bit(i, 0);
-                self.replay_total[i] = 0;
-                self.wave_buf[i].clear();
-            }
-        } else {
-            self.values.resize(n, false);
-            for i in 0..self.func.cone.len() {
-                let c = self.func.cone[i];
-                self.in_cone[c.index()] = self.sepoch;
-            }
-            for ci in 0..self.func.cone.len() {
-                let c = self.func.cone[ci];
-                let idx = c.index();
-                self.replay_total[idx] = 0;
-                self.wave_buf[idx].clear();
-                self.values[idx] = self.func.word_bit(idx, 0);
-                for &f in self.func.nl.fanins(c) {
-                    if self.in_cone[f.index()] != self.sepoch
-                        && self.in_boundary[f.index()] != self.sepoch
-                    {
-                        self.in_boundary[f.index()] = self.sepoch;
-                        self.boundary.push(f);
-                    }
-                }
-            }
-            for bi in 0..self.boundary.len() {
-                let b = self.boundary[bi];
-                self.values[b.index()] = self.func.word_bit(b.index(), 0);
-            }
-        }
-        if cycles == 0 {
-            return Ok(counts);
-        }
-        self.cursors.clear();
-        self.cursors.resize(self.boundary.len(), 0);
-        // An early (budget) return below can leave scheduled events in the
-        // queue; the flag makes the next replay start from a full reset.
-        if self.queue_dirty {
-            self.queue.reset(n, self.max_delay);
-        } else {
-            self.queue.ensure(n, self.max_delay);
-        }
-        self.queue_dirty = true;
-        self.sink_stamp.resize(n, 0);
-        for c in 1..cycles {
-            budget.check_deadline()?;
-            self.queue.begin_cycle();
-            if full {
-                // Seed from primary-input changes, in input order (the
-                // order EventSim assigns seed sequence numbers).
-                let inputs = self.func.nl.inputs();
-                for &pi in inputs {
-                    let cur = self.func.word_bit(pi.index(), c);
-                    if self.values[pi.index()] != cur {
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        self.queue.schedule(pi.index() as u32, 0, cur);
-                        counts.enqueued += 1;
-                    }
-                }
-            } else {
-                // Seed from the recorded boundary transitions of cycle c.
-                // Boundary nets sit outside the cone, so they are never
-                // rescheduled as sinks; their recorded per-cycle times are
-                // strictly increasing, satisfying the queue's per-net
-                // nondecreasing-time contract.
-                for bi in 0..self.boundary.len() {
-                    let b = self.boundary[bi];
-                    let wave = &self.waves[b.index()];
-                    while self.cursors[bi] < wave.len() && wave[self.cursors[bi]].cycle == c as u32 {
-                        let tr = wave[self.cursors[bi]];
-                        self.cursors[bi] += 1;
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        self.queue.schedule(b.index() as u32, tr.time, tr.value);
-                        counts.enqueued += 1;
-                    }
-                    // Skip any transitions of cycles this replay never
-                    // waved (possible only if earlier cycles enqueued
-                    // nothing — cursors advance monotonically).
-                    while self.cursors[bi] < wave.len() && wave[self.cursors[bi]].cycle < c as u32 {
-                        self.cursors[bi] += 1;
-                    }
-                }
-            }
-            while let Some(time) = self.queue.pop_bucket(&mut self.batch) {
-                counts.processed += self.batch.len() as u64;
-                local_steps += self.batch.len() as u64;
-                if local_steps >= FLUSH {
-                    tally += local_steps;
-                    local_steps = 0;
-                    if tally >= max_steps {
-                        return Err(budget.sim_steps_exceeded(tally));
-                    }
-                    budget.check_deadline()?;
-                }
-                // Apply the whole bucket (one entry per net, net order),
-                // recording waves for in-cone nets.
-                self.toggled.clear();
-                for &(raw, value) in &self.batch {
-                    let idx = raw as usize;
-                    if self.values[idx] == value {
-                        counts.cancelled += 1;
-                        continue;
-                    }
-                    self.values[idx] = value;
-                    if self.in_cone[idx] == self.sepoch {
-                        self.replay_total[idx] += 1;
-                        self.wave_buf[idx].push(Tr {
-                            cycle: c as u32,
-                            time,
-                            value,
-                        });
-                    }
-                    self.toggled.push(raw);
-                }
-                // Evaluate each distinct in-cone sink once per bucket.
-                self.sink_epoch += 1;
-                for ti in 0..self.toggled.len() {
-                    let idx = self.toggled[ti] as usize;
-                    for fi in 0..self.func.fanouts[idx].len() {
-                        let sink = self.func.fanouts[idx][fi];
-                        let si = sink.index();
-                        if self.in_cone[si] != self.sepoch {
-                            continue;
-                        }
-                        if self.sink_stamp[si] == self.sink_epoch {
-                            counts.coalesced += 1;
-                            continue;
-                        }
-                        self.sink_stamp[si] = self.sink_epoch;
-                        let kind = self.func.nl.kind(sink);
-                        self.ins.clear();
-                        for &f in self.func.nl.fanins(sink) {
-                            self.ins.push(self.values[f.index()]);
-                        }
-                        let out = kind.eval(&self.ins);
-                        let t = time + self.delays[si] as u64;
-                        if self.queue.pending() >= max_queue {
-                            return Err(budget.event_queue_exceeded(self.queue.pending() + 1));
-                        }
-                        match self.queue.schedule(si as u32, t, out) {
-                            Scheduled::New => counts.enqueued += 1,
-                            // `schedule` never suppresses; only the fused
-                            // `schedule_transition` path does.
-                            Scheduled::Coalesced | Scheduled::Suppressed => counts.coalesced += 1,
-                        }
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                for i in 0..n {
-                    if self.in_cone[i] == self.sepoch || self.in_boundary[i] == self.sepoch {
-                        debug_assert_eq!(
-                            self.values[i],
-                            self.func.word_bit(i, c),
-                            "replayed net n{i} must settle to its functional value in cycle {c}"
-                        );
-                    }
-                }
-            }
-        }
-        tally += local_steps;
-        if local_steps > 0 && tally >= max_steps {
-            return Err(budget.sim_steps_exceeded(tally));
-        }
-        self.queue_dirty = false;
-        Ok(counts)
-    }
-
-    /// The timing activity, bit-identical to
-    /// `EventSim::new(self.netlist(), model).activity(..)` on the same
-    /// stimulus.
-    pub fn activity(&self) -> TimingActivity {
-        let cycles = self.func.cycles;
-        let denom = cycles.saturating_sub(1).max(1) as f64;
-        let probability: Vec<f64> = self
-            .func
-            .ones
-            .iter()
-            .map(|&o| o as f64 / cycles.max(1) as f64)
-            .collect();
-        let make = |toggles: &[u64]| ActivityProfile {
-            toggles: toggles.iter().map(|&t| t as f64 / denom).collect(),
-            probability: probability.clone(),
-            cycles,
-        };
-        TimingActivity {
-            total: make(&self.total),
-            functional: make(&self.func.toggles),
-        }
-    }
-
-    /// Switched capacitance per cycle under the *total* (glitch-inclusive)
-    /// toggle counts; bit-identical to `switched_capacitance` on the total
-    /// profile of [`IncrementalEventSim::activity`].
-    pub fn switched_cap(&self) -> f64 {
-        let nl = &self.func.nl;
-        let fanouts = nl.fanouts();
-        let denom = (self.func.cycles.saturating_sub(1)).max(1) as f64;
-        let mut total = 0.0;
-        for net in nl.iter_nets() {
-            let kind = nl.kind(net);
-            let fanin = nl.fanins(net).len();
-            let mut load = kind.intrinsic_cap(fanin);
-            for &sink in &fanouts[net.index()] {
-                load += nl.kind(sink).input_cap();
-            }
-            total += load * (self.total[net.index()] as f64 / denom);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comb::CombSim;
-    use crate::event::EventSim;
     use crate::stimulus::Stimulus;
     use netlist::gen::{array_multiplier, ripple_adder};
 
@@ -1803,50 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn event_stack_matches_from_scratch_at_every_depth() {
-        let (nl, _) = ripple_adder(4);
-        let patterns = Stimulus::uniform(8).patterns(110, 23);
-        let packed = PackedPatterns::pack(&patterns);
-        let model = DelayModel::Analytic { resolution: 4 };
-        let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
-        let m0 = engine.checkpoint();
-        let base = bits(&engine.activity().total);
-        // Chain: rewire one gate, then buffer another's fanin.
-        let victim = nl
-            .iter_nets()
-            .find(|&g| nl.kind(g) == GateKind::And)
-            .expect("adder has AND gates");
-        let mut d1 = Delta::for_netlist(engine.netlist());
-        d1.set_gate(victim, GateKind::Or, nl.fanins(victim));
-        engine.apply_delta(&d1);
-        let m1 = engine.checkpoint();
-        let sink = iter_rev(&nl)
-            .find(|&g| !nl.kind(g).is_source() && nl.fanins(g).len() >= 2)
-            .expect("gate with fanins");
-        let mut d2 = Delta::for_netlist(engine.netlist());
-        let mut fanins = engine.netlist().fanins(sink).to_vec();
-        let buf = d2.add_gate(GateKind::Buf, &[fanins[0]]);
-        fanins[0] = buf;
-        d2.set_gate(sink, engine.netlist().kind(sink), &fanins);
-        engine.apply_delta(&d2);
-        // Depth 2 matches a from-scratch run on the doubly-edited netlist.
-        let mut edited = nl.clone();
-        d1.apply_to(&mut edited);
-        d2.apply_to(&mut edited);
-        let ref2 = EventSim::new(&edited, &model).activity(&patterns);
-        assert_eq!(bits(&engine.activity().total), bits(&ref2.total));
-        // Unwind one frame: matches depth 1; unwind home: matches base.
-        assert!(engine.rollback_to(m1));
-        let mut once = nl.clone();
-        d1.apply_to(&mut once);
-        let ref1 = EventSim::new(&once, &model).activity(&patterns);
-        assert_eq!(bits(&engine.activity().total), bits(&ref1.total));
-        assert!(engine.rollback_to(m0));
-        assert_eq!(bits(&engine.activity().total), base);
-        assert_eq!(engine.netlist().len(), nl.len());
-    }
-
-    #[test]
     fn buffer_insertion_cuts_off_immediately() {
         if stress_env() {
             // The assertions below pin the *fast path*; under forced full
@@ -1900,43 +1225,6 @@ mod tests {
         assert!(!ia.full_eval && ib.full_eval);
         assert_eq!(bits(&a.activity()), bits(&b.activity()));
         assert_eq!(a.switched_cap().to_bits(), b.switched_cap().to_bits());
-    }
-
-    #[test]
-    fn event_engine_matches_eventsim_through_edits() {
-        let (nl, _) = array_multiplier(4);
-        let patterns = Stimulus::uniform(8).patterns(150, 9);
-        let packed = PackedPatterns::pack(&patterns);
-        for model in [DelayModel::Unit, DelayModel::Analytic { resolution: 4 }] {
-            let mut engine = IncrementalEventSim::from_full_eval(&nl, &model, &packed);
-            let reference = EventSim::new(&nl, &model).activity(&patterns);
-            assert_eq!(bits(&engine.activity().total), bits(&reference.total));
-            assert_eq!(
-                bits(&engine.activity().functional),
-                bits(&reference.functional)
-            );
-            // Edit: insert a buffer chain on a late gate (balance-style).
-            let sink = iter_rev(&nl)
-                .find(|&g| !nl.kind(g).is_source() && nl.fanins(g).len() >= 2)
-                .expect("gate with fanins");
-            let mut delta = Delta::for_netlist(&nl);
-            let mut fanins = nl.fanins(sink).to_vec();
-            let b1 = delta.add_gate(GateKind::Buf, &[fanins[1]]);
-            let b2 = delta.add_gate(GateKind::Buf, &[b1]);
-            fanins[1] = b2;
-            delta.set_gate(sink, nl.kind(sink), &fanins);
-            engine.apply_delta(&delta);
-            let mut edited = nl.clone();
-            delta.apply_to(&mut edited);
-            let edited_ref = EventSim::new(&edited, &model).activity(&patterns);
-            let got = engine.activity();
-            assert_eq!(bits(&got.total), bits(&edited_ref.total), "{model:?}");
-            assert_eq!(bits(&got.functional), bits(&edited_ref.functional));
-            // Revert restores the original timing activity.
-            assert!(engine.revert());
-            let back = engine.activity();
-            assert_eq!(bits(&back.total), bits(&reference.total));
-        }
     }
 
     #[test]

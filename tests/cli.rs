@@ -209,6 +209,26 @@ fn failed_commands_leave_no_partial_output_file() {
 }
 
 #[test]
+fn combinational_passes_reject_sequential_input() {
+    let input = temp_path("latched.blif");
+    std::fs::write(&input, ".inputs a b\n.outputs q\n.gate and d a b\n.latch q d 0\n.end\n")
+        .unwrap();
+    let out = temp_path("latched_out.blif");
+    let _ = std::fs::remove_file(&out);
+    for cmd in ["balance", "dontcare", "rewrite", "map"] {
+        let last = if cmd == "map" { "power" } else { out.as_str() };
+        let output = Command::new(env!("CARGO_BIN_EXE_lpopt"))
+            .args([cmd, input.as_str(), last])
+            .output()
+            .expect("lpopt runs");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{cmd}: {err}");
+        assert!(err.contains("combinational logic"), "{cmd}: {err}");
+        assert!(!std::path::Path::new(&out).exists(), "{cmd} left {out}");
+    }
+}
+
+#[test]
 fn budget_flags_degrade_power_estimation() {
     let file = temp_path("budget_mult.blif");
     assert!(lpopt(&["gen", "multiplier", "5", &file]).0);

@@ -1,8 +1,7 @@
-//! Workspace property tests of the incremental evaluation engines: for
+//! Workspace property tests of the incremental evaluation engine: for
 //! random netlists and random edit/revert sequences, [`IncrementalSim`]
-//! and [`IncrementalEventSim`] must stay **bit-identical** to a
-//! from-scratch `CombSim` / `EventSim` run on the edited netlist after
-//! every single step — apply and revert alike. This is the contract that
+//! must stay **bit-identical** to a from-scratch `CombSim` run on the
+//! edited netlist after every single step — apply and revert alike. This is the contract that
 //! lets the optimization passes judge candidate edits on the resident
 //! engine instead of re-simulating: incrementality can never change a
 //! reported number.
@@ -17,8 +16,7 @@
 use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::{GateKind, NetId, Netlist, Rng64};
 use lowpower::sim::comb::CombSim;
-use lowpower::sim::event::{DelayModel, EventSim};
-use lowpower::sim::incr::{Delta, IncrementalEventSim, IncrementalSim};
+use lowpower::sim::incr::{Delta, IncrementalSim};
 use lowpower::sim::stimulus::{PackedPatterns, PatternSet, Stimulus};
 use lowpower::sim::ActivityProfile;
 use proptest::prelude::*;
@@ -124,10 +122,9 @@ fn random_delta(nl: &Netlist, base_len: usize, rng: &mut Rng64) -> Option<Delta>
     Some(delta)
 }
 
-/// Assert both engines match from-scratch simulation of `reference`.
-fn check_engines(
+/// Assert the engine matches from-scratch simulation of `reference`.
+fn check_engine(
     engine: &IncrementalSim,
-    event: &IncrementalEventSim,
     reference: &Netlist,
     patterns: &PatternSet,
 ) -> Result<(), TestCaseError> {
@@ -137,10 +134,6 @@ fn check_engines(
         engine.switched_cap().to_bits(),
         comb.switched_capacitance(reference).to_bits()
     );
-    let timing = EventSim::new(reference, &DelayModel::Unit).activity(patterns);
-    let got = event.activity();
-    prop_assert_eq!(bits(&got.total), bits(&timing.total));
-    prop_assert_eq!(bits(&got.functional), bits(&timing.functional));
     Ok(())
 }
 
@@ -148,7 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The core contract: a random sequence of edits, some reverted and
-    /// some committed, leaves both engines bit-identical to from-scratch
+    /// some committed, leaves the engine bit-identical to from-scratch
     /// simulation after **every** step.
     #[test]
     fn edit_sequences_are_bit_identical_to_from_scratch(
@@ -162,8 +155,7 @@ proptest! {
         let patterns = Stimulus::uniform(8).patterns(cycles, seed ^ 0xC4);
         let packed = PackedPatterns::pack(&patterns);
         let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
-        let mut event = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
-        check_engines(&engine, &event, &nl, &patterns)?;
+        check_engine(&engine, &nl, &patterns)?;
 
         let mut rng = Rng64::new(edit_seed);
         let base_len = nl.len();
@@ -177,19 +169,16 @@ proptest! {
             prop_assert!(edited.topo_order().is_ok(), "generator produced a cycle");
 
             engine.apply_delta(&delta);
-            event.apply_delta(&delta);
-            check_engines(&engine, &event, &edited, &patterns)?;
+            check_engine(&engine, &edited, &patterns)?;
 
             if rng.chance(0.4) {
                 // Roll back and verify the pre-edit bits are restored.
                 prop_assert!(engine.revert());
-                prop_assert!(event.revert());
-                check_engines(&engine, &event, &current, &patterns)?;
+                check_engine(&engine, &current, &patterns)?;
             } else {
                 current = edited;
             }
         }
-        prop_assert_eq!(engine.stats().deltas, event.stats().deltas);
     }
 
     /// Forced full re-evaluation (the `LPOPT_INCR_STRESS=1` chaos mode)
@@ -207,9 +196,6 @@ proptest! {
         let mut fast = IncrementalSim::from_full_eval(&nl, &packed);
         let mut slow = IncrementalSim::from_full_eval(&nl, &packed);
         slow.set_force_full(true);
-        let mut fast_ev = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
-        let mut slow_ev = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
-        slow_ev.set_force_full(true);
 
         let mut rng = Rng64::new(edit_seed);
         let base_len = nl.len();
@@ -222,8 +208,6 @@ proptest! {
             fast.apply_delta(&delta);
             let info = slow.apply_delta(&delta);
             prop_assert!(info.full_eval, "force_full must not take the fast path");
-            fast_ev.apply_delta(&delta);
-            slow_ev.apply_delta(&delta);
 
             prop_assert_eq!(bits(&slow.activity()), bits(&fast.activity()));
             prop_assert_eq!(
@@ -234,15 +218,12 @@ proptest! {
                 slow.switched_cap_live().to_bits(),
                 fast.switched_cap_live().to_bits()
             );
-            let (a, b) = (slow_ev.activity(), fast_ev.activity());
-            prop_assert_eq!(bits(&a.total), bits(&b.total));
-            prop_assert_eq!(bits(&a.functional), bits(&b.functional));
         }
         prop_assert_eq!(slow.stats().full_evals, slow.stats().deltas);
     }
 }
 
-/// Chaos case: the `LPOPT_INCR_STRESS=1` environment switch flips every
+/// Chaos case: the `LPOPT_INCR_STRESS=1` environment switch flips an
 /// engine built while it is set into forced-full mode, and the numbers
 /// still cannot move. (Engines capture the flag at construction, so the
 /// variable is restored immediately after the builds; the bit-identity
@@ -255,7 +236,6 @@ fn chaos_stress_env_forces_full_eval() {
 
     std::env::set_var("LPOPT_INCR_STRESS", "1");
     let mut stressed = IncrementalSim::from_full_eval(&nl, &packed);
-    let mut stressed_ev = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
     std::env::remove_var("LPOPT_INCR_STRESS");
 
     let mut rng = Rng64::new(99);
@@ -266,15 +246,9 @@ fn chaos_stress_env_forces_full_eval() {
         delta.apply_to(&mut current);
         let info = stressed.apply_delta(&delta);
         assert!(info.full_eval, "stress env must force full re-evaluation");
-        stressed_ev.apply_delta(&delta);
 
         let comb = CombSim::new(&current).activity(&patterns);
         assert_eq!(bits(&stressed.activity()), bits(&comb));
-        let timing = EventSim::new(&current, &DelayModel::Unit).activity(&patterns);
-        let got = stressed_ev.activity();
-        assert_eq!(bits(&got.total), bits(&timing.total));
-        assert_eq!(bits(&got.functional), bits(&timing.functional));
     }
     assert_eq!(stressed.stats().full_evals, stressed.stats().deltas);
-    assert_eq!(stressed_ev.stats().full_evals, stressed_ev.stats().deltas);
 }

@@ -1,6 +1,6 @@
 //! Property tests of the multi-slot undo stacks and the rewriting search
 //! built on them: for random netlists and random interleavings of
-//! apply / checkpoint / rollback_to / commit, the resident engines must
+//! apply / checkpoint / rollback_to / commit, the resident engine must
 //! stay **bit-identical** to from-scratch simulation of the matching
 //! netlist snapshot after every single step. Rolling back past a commit
 //! must be rejected without touching the engine, and a starved budget
@@ -26,8 +26,7 @@ use lowpower::netlist::gen::{random_dag, RandomDagConfig};
 use lowpower::netlist::{GateKind, NetId, Netlist, Rng64};
 use lowpower::power::exact::{circuit_bdds, CircuitBdds};
 use lowpower::sim::comb::{equivalent_exhaustive, CombSim};
-use lowpower::sim::event::{DelayModel, EventSim};
-use lowpower::sim::incr::{Delta, IncrementalEventSim, IncrementalSim, Mark};
+use lowpower::sim::incr::{Delta, IncrementalSim, Mark};
 use lowpower::sim::stimulus::{PackedPatterns, PatternSet, Stimulus};
 use lowpower::sim::ActivityProfile;
 use proptest::prelude::*;
@@ -116,10 +115,9 @@ fn random_delta(nl: &Netlist, base_len: usize, rng: &mut Rng64) -> Option<Delta>
     Some(delta)
 }
 
-/// Assert both engines match from-scratch simulation of `reference`.
-fn check_engines(
+/// Assert the engine matches from-scratch simulation of `reference`.
+fn check_engine(
     engine: &IncrementalSim,
-    event: &IncrementalEventSim,
     reference: &Netlist,
     patterns: &PatternSet,
 ) -> Result<(), TestCaseError> {
@@ -129,10 +127,6 @@ fn check_engines(
         engine.switched_cap().to_bits(),
         comb.switched_capacitance(reference).to_bits()
     );
-    let timing = EventSim::new(reference, &DelayModel::Unit).activity(patterns);
-    let got = event.activity();
-    prop_assert_eq!(bits(&got.total), bits(&timing.total));
-    prop_assert_eq!(bits(&got.functional), bits(&timing.functional));
     Ok(())
 }
 
@@ -198,7 +192,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The undo-stack contract under arbitrary interleavings: after every
-    /// apply, rollback_to and commit, both engines are bit-identical to
+    /// apply, rollback_to and commit, the engine is bit-identical to
     /// from-scratch simulation of the netlist snapshot the surviving
     /// marks describe. Marks invalidated by a commit are rejected and the
     /// failed call leaves the engine untouched.
@@ -214,15 +208,14 @@ proptest! {
         let patterns = Stimulus::uniform(8).patterns(cycles, seed ^ 0x5EED);
         let packed = PackedPatterns::pack(&patterns);
         let mut engine = IncrementalSim::from_full_eval(&nl, &packed);
-        let mut event = IncrementalEventSim::from_full_eval(&nl, &DelayModel::Unit, &packed);
 
         let mut rng = Rng64::new(op_seed);
         let base_len = nl.len();
         // Live checkpoints, innermost last: the netlist snapshot each
         // mark must restore. Marks below `dead` (committed away) must be
         // rejected by rollback_to.
-        let mut stack: Vec<(Mark, Mark, Netlist)> = Vec::new();
-        let mut dead: Vec<(Mark, Mark)> = Vec::new();
+        let mut stack: Vec<(Mark, Netlist)> = Vec::new();
+        let mut dead: Vec<Mark> = Vec::new();
         let mut current = nl;
         for _ in 0..ops {
             match rng.range(0, 5) {
@@ -235,13 +228,12 @@ proptest! {
                     delta.apply_to(&mut edited);
                     prop_assert!(edited.topo_order().is_ok(), "generator produced a cycle");
                     engine.apply_delta(&delta);
-                    event.apply_delta(&delta);
                     current = edited;
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
                 // Push a checkpoint.
                 2 => {
-                    stack.push((engine.checkpoint(), event.checkpoint(), current.clone()));
+                    stack.push((engine.checkpoint(), current.clone()));
                 }
                 // Roll back to a random live mark; it stays live.
                 3 => {
@@ -250,11 +242,10 @@ proptest! {
                     }
                     let pick = rng.range(0, stack.len());
                     stack.truncate(pick + 1);
-                    let (m, em, snapshot) = stack.last().expect("picked live mark");
+                    let (m, snapshot) = stack.last().expect("picked live mark");
                     prop_assert!(engine.rollback_to(*m), "live mark must roll back");
-                    prop_assert!(event.rollback_to(*em), "live mark must roll back");
                     current = snapshot.clone();
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
                 // Commit a random live mark: everything at or below it
                 // becomes permanent and those marks die.
@@ -263,30 +254,27 @@ proptest! {
                         continue;
                     }
                     let pick = rng.range(0, stack.len());
-                    let committed: Vec<(Mark, Mark, Netlist)> =
-                        stack.drain(..=pick).collect();
-                    let (m, em, _) = committed.last().expect("picked live mark");
+                    let committed: Vec<(Mark, Netlist)> = stack.drain(..=pick).collect();
+                    let (m, _) = committed.last().expect("picked live mark");
                     prop_assert!(engine.commit(*m), "live mark must commit");
-                    prop_assert!(event.commit(*em), "live mark must commit");
                     // The commit floor is `m` itself; only marks strictly
                     // below it are invalidated (a duplicate mark minted at
                     // the same depth as `m` is still the floor, not past it).
                     dead.extend(
                         committed[..committed.len() - 1]
                             .iter()
-                            .filter(|(a, _, _)| a < m)
-                            .map(|(a, b, _)| (*a, *b)),
+                            .filter(|(a, _)| a < m)
+                            .map(|(a, _)| *a),
                     );
                     // Committing never moves the evaluated state.
-                    check_engines(&engine, &event, &current, &patterns)?;
+                    check_engine(&engine, &current, &patterns)?;
                 }
             }
             // Rolling back past the committed floor is rejected and the
             // rejected call changes nothing.
-            if let Some(&(m, em)) = dead.last() {
+            if let Some(&m) = dead.last() {
                 prop_assert!(!engine.rollback_to(m), "committed-away mark must be rejected");
-                prop_assert!(!event.rollback_to(em), "committed-away mark must be rejected");
-                check_engines(&engine, &event, &current, &patterns)?;
+                check_engine(&engine, &current, &patterns)?;
             }
         }
     }
